@@ -4,6 +4,12 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The bench gates compare against the checked-in BENCH_BASELINE.json and
+# must never write it (only an explicit OFPC_BENCH_RECORD=1 run re-pins):
+# keep a copy to compare against after the last bench step.
+baseline_copy="$(mktemp)"
+cp BENCH_BASELINE.json "$baseline_copy"
+
 # `cargo test` does not promote warnings to errors on its own: run it
 # under a tee and fail the gate if anything in the build or the test
 # output itself warned (deprecations, dead code resurfacing in
@@ -86,6 +92,13 @@ run_no_warnings cargo test --offline --test ingest -q
 
 echo "==> serve scale gate (determinism, >=2x @4w, throughput/core vs BENCH_BASELINE.json)"
 run_no_warnings cargo bench --offline -q -p ofpc-bench --bench serve_scale
+
+echo "==> BENCH_BASELINE.json unchanged by the bench steps"
+if ! cmp BENCH_BASELINE.json "$baseline_copy"; then
+    echo "==> FAIL: a bench step wrote the checked-in BENCH_BASELINE.json" >&2
+    exit 1
+fi
+rm -f "$baseline_copy"
 
 echo "==> E21 ingest front-end smoke run (expt_ingest, mini)"
 run_no_warnings env OFPC_E21_MINI=1 cargo run --offline -q -p ofpc-bench --bin expt_ingest

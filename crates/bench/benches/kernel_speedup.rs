@@ -8,20 +8,19 @@
 //!    *same machine in the same process* (best of [`TIMING_REPS`]
 //!    trials each). This gate always runs: both sides see the same
 //!    hardware, so no core-count escape hatch applies.
-//! 2. **Absolute speedup** — when `BENCH_BASELINE.json` carries a
-//!    scalar `dot_product_ms` figure recorded on a machine with the
-//!    same core count, the vectorized kernel must also beat *that*
-//!    pinned figure by [`MIN_SPEEDUP`]×. On a different machine shape
-//!    the check prints a notice and skips — comparing against another
-//!    machine's milliseconds would measure the hardware, not the code.
+//! 2. **Absolute speedup** — the vectorized kernel must also beat the
+//!    scalar `dot_product_ms` figure `par_scaling` pins in
+//!    `BENCH_BASELINE.json` by [`MIN_SPEEDUP`]×.
 //! 3. **Vectorized regression** — the vectorized kernel must stay
 //!    within [`MAX_VEC_REGRESSION`] (+50%) of the `dot_product_vec_ms`
-//!    figure pinned in `BENCH_BASELINE.json`. The baseline file is
-//!    shared with `par_scaling` and `dse_sweep`, so this gate reads and
-//!    writes it as a JSON value tree (preserving keys it does not own)
-//!    and keeps its own core stamp (`kernel_vec_cores`). A missing
-//!    file, missing key, core mismatch, or `OFPC_BENCH_RECORD=1`
-//!    re-records instead of failing.
+//!    figure pinned in `BENCH_BASELINE.json` (core stamp
+//!    `kernel_vec_cores`).
+//!
+//! Checks 2 and 3 run through [`ofpc_bench::gate`]: each compares only
+//! against a figure stamped with this machine's core count — comparing
+//! against another machine's milliseconds would measure the hardware,
+//! not the code — and on a mismatch or missing key prints `SKIPPED` and
+//! writes nothing. Only `OFPC_BENCH_RECORD=1` re-pins check 3's figures.
 //!
 //! Both kernels replicate `par_scaling`'s `dot_product_kernel` exactly
 //! (seed 1, realistic config, 256 calibration symbols, 200 length-256
@@ -30,11 +29,10 @@
 //! multiply-accumulates per wall-clock second — the unit the photonics
 //! literature quotes for analog compute engines.
 
+use ofpc_bench::gate::{best_time, Better, Gate};
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig, KernelBackend};
 use ofpc_photonics::SimRng;
-use serde_json::Value;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Gate: vectorized must beat scalar by at least this factor.
 const MIN_SPEEDUP: f64 = 5.0;
@@ -49,21 +47,23 @@ const TIMING_REPS: usize = 5;
 const ROWS: usize = 200;
 /// Row length per invocation (matches `par_scaling`).
 const ROW_LEN: usize = 256;
-const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn best_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
+/// Absolute gate: vectorized ms against the pinned scalar ms ÷ [`MIN_SPEEDUP`].
+const ABS_GATE: Gate<'static> = Gate {
+    bench: "kernel_speedup",
+    key: "dot_product_ms",
+    cores_key: "cores",
+    unit: "ms",
+    better: Better::Lower,
+    bound: 1.0 / MIN_SPEEDUP,
+};
+const VEC_GATE: Gate<'static> = Gate {
+    bench: "kernel_speedup",
+    key: "dot_product_vec_ms",
+    cores_key: "kernel_vec_cores",
+    unit: "ms",
+    better: Better::Lower,
+    bound: MAX_VEC_REGRESSION,
+};
 
 /// The P1 dot-product hot loop from `par_scaling`, parameterized on the
 /// kernel backend: realistic calibrated unit, 200 length-256 MVM rows.
@@ -83,21 +83,6 @@ fn dot_product_kernel(backend: KernelBackend) {
 /// GMAC/s for one kernel invocation that took `secs` seconds.
 fn gmacs(secs: f64) -> f64 {
     (ROWS * ROW_LEN) as f64 / secs / 1e9
-}
-
-/// Fetch a numeric key from the baseline map, if present.
-fn get_num(map: &[(String, Value)], key: &str) -> Option<f64> {
-    map.iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_f64())
-}
-
-/// Insert-or-replace a key in the baseline map.
-fn set_key(map: &mut Vec<(String, Value)>, key: &str, value: Value) {
-    match map.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => map.push((key.to_string(), value)),
-    }
 }
 
 fn main() {
@@ -124,89 +109,8 @@ fn main() {
          gate requires {MIN_SPEEDUP}x"
     );
 
-    // Load the shared baseline as a value tree; unknown/absent states
-    // re-record rather than fail.
-    let mut map: Vec<(String, Value)> = match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(Value::Map(m)) => m,
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-    let measured_cores = cores();
-
-    // Absolute gate against the scalar baseline pinned by par_scaling.
-    match (get_num(&map, "cores"), get_num(&map, "dot_product_ms")) {
-        (Some(c), Some(base_ms)) if c as usize == measured_cores => {
-            let abs_speedup = base_ms / (vec_s * 1e3);
-            println!(
-                "kernel_speedup: vectorized vs pinned scalar baseline {base_ms:.2} ms \
-                 -> {abs_speedup:.2}x"
-            );
-            assert!(
-                abs_speedup >= MIN_SPEEDUP,
-                "kernel_speedup: vectorized kernel is only {abs_speedup:.2}x the pinned \
-                 scalar baseline ({base_ms:.2} ms), gate requires {MIN_SPEEDUP}x"
-            );
-        }
-        (Some(c), Some(_)) => println!(
-            "kernel_speedup: absolute gate skipped — scalar baseline is from a {}-core \
-             machine, this one has {measured_cores}",
-            c as usize
-        ),
-        _ => println!("kernel_speedup: absolute gate skipped — no pinned scalar baseline"),
-    }
-
-    // Vectorized self-regression gate, with its own core stamp.
     let vec_ms = vec_s * 1e3;
-    let record_reason = if std::env::var_os("OFPC_BENCH_RECORD").is_some() {
-        Some("OFPC_BENCH_RECORD set".to_string())
-    } else {
-        match (
-            get_num(&map, "kernel_vec_cores"),
-            get_num(&map, "dot_product_vec_ms"),
-        ) {
-            (Some(c), Some(want)) if c as usize == measured_cores => {
-                println!(
-                    "kernel_speedup: vectorized {vec_ms:.3} ms vs baseline {want:.3} ms \
-                     (gate {:.3} ms)",
-                    want * MAX_VEC_REGRESSION
-                );
-                assert!(
-                    vec_ms <= want * MAX_VEC_REGRESSION,
-                    "kernel_speedup: vectorized kernel regressed: {vec_ms:.3} ms vs baseline \
-                     {want:.3} ms (+{:.0}% allowed); if intentional, re-pin with \
-                     OFPC_BENCH_RECORD=1",
-                    (MAX_VEC_REGRESSION - 1.0) * 100.0,
-                );
-                None
-            }
-            (Some(c), Some(_)) => Some(format!(
-                "baseline is from a {}-core machine, this one has {measured_cores}",
-                c as usize
-            )),
-            _ => Some("no kernel_speedup baseline keys".to_string()),
-        }
-    };
-    if let Some(reason) = record_reason {
-        set_key(
-            &mut map,
-            "kernel_vec_cores",
-            Value::UInt(measured_cores as u64),
-        );
-        set_key(&mut map, "dot_product_vec_ms", Value::Float(vec_ms));
-        set_key(
-            &mut map,
-            "dot_product_vec_gmacs",
-            Value::Float(gmacs(vec_s)),
-        );
-        let json = serde_json::to_string_pretty(&Value::Map(map)).expect("serialize baseline");
-        std::fs::write(BASELINE_PATH, json + "\n").expect("write BENCH_BASELINE.json");
-        println!(
-            "kernel_speedup: recorded new baseline ({reason}): vectorized {vec_ms:.3} ms \
-             ({:.3} GMAC/s) on {measured_cores} core(s)",
-            gmacs(vec_s)
-        );
-    }
-    println!("kernel_speedup: all gates passed");
+    ABS_GATE.enforce(vec_ms);
+    VEC_GATE.run(vec_ms, &[("dot_product_vec_gmacs", gmacs(vec_s))]);
+    println!("kernel_speedup: no gate failed");
 }

@@ -16,12 +16,14 @@
 //!    the timings pinned in `BENCH_BASELINE.json` at the repo root.
 //!    Timings are the **best of [`TIMING_REPS`] trials** — the minimum
 //!    is the standard robust estimator for "how fast can this machine
-//!    run it", immune to one preempted trial. The baseline records the
-//!    core count it was taken on; on a different machine shape (or with
-//!    `OFPC_BENCH_RECORD=1`, or when the file is missing) the baseline
-//!    is re-recorded instead of compared, so the gate never compares
-//!    numbers from different hardware.
+//!    run it", immune to one preempted trial. The comparison runs
+//!    through [`ofpc_bench::gate`]: only against figures stamped with
+//!    this machine's core count (`cores`), so the gate never compares
+//!    numbers from different hardware; a mismatch or missing key prints
+//!    `SKIPPED` and writes nothing; only `OFPC_BENCH_RECORD=1` re-pins,
+//!    merging these keys into the shared file.
 
+use ofpc_bench::gate::{best_time, cores, Better, Gate};
 use ofpc_bench::golden;
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
 use ofpc_engine::Primitive;
@@ -31,9 +33,7 @@ use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::{NodeId, Topology};
 use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Gate: 4 workers must beat 1 worker by at least this factor.
 const MIN_SPEEDUP: f64 = 2.0;
@@ -41,32 +41,18 @@ const MIN_SPEEDUP: f64 = 2.0;
 const MAX_REGRESSION: f64 = 1.10;
 /// Trials per timing; the best (minimum) is the reported figure.
 const TIMING_REPS: usize = 5;
-/// Baseline file at the repo root, tracked in git.
-const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Baseline {
-    /// Core count the timings were recorded on; a mismatch triggers
-    /// re-recording rather than a cross-hardware comparison.
-    cores: usize,
-    dot_product_ms: f64,
-    network_sim_ms: f64,
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Best-of-N wall-clock seconds for one invocation of `f`.
-fn best_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
+const DOT_GATE: Gate<'static> = Gate {
+    bench: "par_scaling",
+    key: "dot_product_ms",
+    cores_key: "cores",
+    unit: "ms",
+    better: Better::Lower,
+    bound: MAX_REGRESSION,
+};
+const NET_GATE: Gate<'static> = Gate {
+    key: "network_sim_ms",
+    ..DOT_GATE
+};
 
 // ------------------------------------------------------- sequential kernels
 
@@ -159,59 +145,15 @@ fn check_sequential_regression() {
     // Warm-up pass (allocator, page cache, branch predictors).
     dot_product_kernel();
     network_sim_kernel();
-    let measured = Baseline {
-        cores: cores(),
-        dot_product_ms: best_time(TIMING_REPS, dot_product_kernel) * 1e3,
-        network_sim_ms: best_time(TIMING_REPS, network_sim_kernel) * 1e3,
-    };
-    let record_reason = if std::env::var_os("OFPC_BENCH_RECORD").is_some() {
-        Some("OFPC_BENCH_RECORD set".to_string())
-    } else {
-        match std::fs::read_to_string(BASELINE_PATH) {
-            Err(_) => Some("no baseline file".to_string()),
-            Ok(text) => match serde_json::from_str::<Baseline>(&text) {
-                Err(e) => Some(format!("unreadable baseline ({e})")),
-                Ok(base) if base.cores != measured.cores => Some(format!(
-                    "baseline is from a {}-core machine, this one has {}",
-                    base.cores, measured.cores
-                )),
-                Ok(base) => {
-                    for (name, got, want) in [
-                        ("dot_product", measured.dot_product_ms, base.dot_product_ms),
-                        ("network_sim", measured.network_sim_ms, base.network_sim_ms),
-                    ] {
-                        println!(
-                            "par_scaling: {name} {got:.2} ms vs baseline {want:.2} ms \
-                             (gate {:.2} ms)",
-                            want * MAX_REGRESSION
-                        );
-                        assert!(
-                            got <= want * MAX_REGRESSION,
-                            "par_scaling: sequential {name} kernel regressed: \
-                             {got:.2} ms vs baseline {want:.2} ms (+{:.0}% allowed); \
-                             if intentional, re-pin with OFPC_BENCH_RECORD=1",
-                            (MAX_REGRESSION - 1.0) * 100.0,
-                        );
-                    }
-                    None
-                }
-            },
-        }
-    };
-    if let Some(reason) = record_reason {
-        let json = serde_json::to_string_pretty(&measured).expect("serialize baseline");
-        std::fs::write(BASELINE_PATH, json + "\n").expect("write BENCH_BASELINE.json");
-        println!(
-            "par_scaling: recorded new baseline ({reason}): \
-             dot_product {:.2} ms, network_sim {:.2} ms on {} core(s)",
-            measured.dot_product_ms, measured.network_sim_ms, measured.cores
-        );
-    }
+    let dot_ms = best_time(TIMING_REPS, dot_product_kernel) * 1e3;
+    let net_ms = best_time(TIMING_REPS, network_sim_kernel) * 1e3;
+    DOT_GATE.run(dot_ms, &[]);
+    NET_GATE.run(net_ms, &[]);
 }
 
 fn main() {
     check_determinism();
     check_speedup();
     check_sequential_regression();
-    println!("par_scaling: all gates passed");
+    println!("par_scaling: no gate failed");
 }

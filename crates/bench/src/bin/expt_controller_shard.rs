@@ -17,7 +17,8 @@
 //! * the report is byte-deterministic — wall-clock stays out of it.
 //!
 //! `OFPC_E20_MINI=1` runs the golden-fixture miniature instead (the ci
-//! smoke path; debug-build friendly).
+//! smoke path; debug-build friendly) and writes its own
+//! `e20_controller_shard_mini.json`, leaving the full run's report alone.
 
 use ofpc_bench::shard::{latency_us, run_e20, E20Spec};
 use ofpc_bench::table::{dump_json, Table};
@@ -88,5 +89,12 @@ fn main() {
             assert!(max < 250_000.0, "max decision latency {max:.0}µs >= 250ms");
         }
     }
-    dump_json("e20_controller_shard", &report);
+    dump_json(
+        if mini {
+            "e20_controller_shard_mini"
+        } else {
+            "e20_controller_shard"
+        },
+        &report,
+    );
 }

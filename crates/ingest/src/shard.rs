@@ -27,6 +27,7 @@ use ofpc_serve::{
     BatchPolicy, Batcher, ComputeRequest, Dispatch, EventQueue, RequestId, Scheduler, ServiceModel,
     ShedReason, SiteSpec, SparseAdmission, TenantId, TenantShape,
 };
+use ofpc_telemetry::LogHist;
 use std::collections::BTreeMap;
 
 /// Shard-local events. Variant order is the same-tick tie-break seed
@@ -44,80 +45,6 @@ enum Ev {
     Deliver { seq: u64 },
 }
 
-/// Compact log-linear latency histogram (same bucket scheme as the
-/// telemetry registry: exact below 16, then 16 sub-buckets per octave,
-/// ≤ ±3.2% on percentiles). A shard serves unbounded request counts, so
-/// per-sample storage is not an option.
-#[derive(Debug, Clone)]
-pub(crate) struct LatHist {
-    buckets: Box<[u64]>,
-    count: u64,
-}
-
-const SUB_BITS: u32 = 4;
-const SUB: usize = 1 << SUB_BITS;
-const HIST_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
-
-#[inline]
-fn bucket_index(v: u64) -> usize {
-    if v < SUB as u64 {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros() as usize;
-    let octave = msb - SUB_BITS as usize + 1;
-    let sub = ((v >> (msb - SUB_BITS as usize)) - SUB as u64) as usize;
-    octave * SUB + sub
-}
-
-fn bucket_mid(idx: usize) -> u64 {
-    if idx < SUB {
-        return idx as u64;
-    }
-    let octave = idx / SUB;
-    let sub = (idx % SUB) as u64;
-    let width = 1u64 << (octave - 1);
-    ((SUB as u64 + sub) << (octave - 1)) + width / 2
-}
-
-impl Default for LatHist {
-    fn default() -> Self {
-        LatHist {
-            buckets: vec![0; HIST_BUCKETS].into_boxed_slice(),
-            count: 0,
-        }
-    }
-}
-
-impl LatHist {
-    pub(crate) fn record(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-    }
-
-    pub(crate) fn merge(&mut self, other: &LatHist) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
-
-    /// Nearest-rank percentile as a bucket midpoint.
-    pub(crate) fn percentile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            cum += n;
-            if cum >= rank {
-                return Some(bucket_mid(idx));
-            }
-        }
-        None
-    }
-}
-
 /// Per-class aggregates on one shard. Memory is O(classes), however
 /// many requests flow.
 #[derive(Debug, Clone, Default)]
@@ -130,7 +57,9 @@ pub(crate) struct ClassStats {
     pub shed_engine_failed: u64,
     pub energy_j: f64,
     pub batch_size_sum: u64,
-    pub lat: LatHist,
+    /// Completion latencies, ps. A histogram, not samples: a shard
+    /// serves unbounded request counts.
+    pub lat: LogHist,
 }
 
 impl ClassStats {

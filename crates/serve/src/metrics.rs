@@ -12,164 +12,6 @@ use crate::request::{Outcome, ShedReason, TenantId};
 use ofpc_telemetry::{labels, Counter, Gauge, Histogram, Telemetry};
 use serde::{Deserialize, Serialize};
 
-/// Log-linear bucket scheme for the compact latency store (same shape
-/// as the telemetry registry's histograms: exact unit buckets below
-/// [`SUB`], then [`SUB`] buckets per octave — ≤ ±3.2% relative error on
-/// any reported percentile).
-const SUB_BITS: u32 = 4;
-const SUB: usize = 1 << SUB_BITS;
-const LAT_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
-
-#[inline]
-fn lat_bucket_index(v: u64) -> usize {
-    if v < SUB as u64 {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros() as usize;
-    let octave = msb - SUB_BITS as usize + 1;
-    let sub = ((v >> (msb - SUB_BITS as usize)) - SUB as u64) as usize;
-    octave * SUB + sub
-}
-
-fn lat_bucket_mid(idx: usize) -> u64 {
-    if idx < SUB {
-        return idx as u64;
-    }
-    let octave = idx / SUB;
-    let sub = (idx % SUB) as u64;
-    let width = 1u64 << (octave - 1);
-    let lo = (SUB as u64 + sub) << (octave - 1);
-    lo + width / 2
-}
-
-/// Per-tenant latency storage with a bounded-memory escape hatch.
-///
-/// Exact mode keeps every integer-ps sample (the historical behavior —
-/// report percentiles are nearest-rank over the sorted vector, and the
-/// pinned golden fixtures depend on that). When a sink is built with
-/// [`MetricsSink::with_latency_cap`], a tenant crossing the cap *spills*:
-/// its samples fold into a fixed-size log-linear histogram and every
-/// later sample costs O(1) memory. Spilled percentiles are bucket
-/// midpoints (≤ ±3.2% relative error); unspilled tenants keep exact
-/// percentiles, so the default cap of `usize::MAX` is byte-identical
-/// to the pre-cap behavior.
-#[derive(Debug, Clone)]
-enum LatencyStore {
-    Exact(Vec<u64>),
-    Compact { buckets: Box<[u64]>, count: u64 },
-}
-
-impl Default for LatencyStore {
-    fn default() -> Self {
-        LatencyStore::Exact(Vec::new())
-    }
-}
-
-impl LatencyStore {
-    fn push(&mut self, v: u64, cap: usize) {
-        match self {
-            LatencyStore::Exact(vec) => {
-                if vec.len() >= cap {
-                    let mut buckets = vec![0u64; LAT_BUCKETS].into_boxed_slice();
-                    for &s in vec.iter() {
-                        buckets[lat_bucket_index(s)] += 1;
-                    }
-                    buckets[lat_bucket_index(v)] += 1;
-                    let count = vec.len() as u64 + 1;
-                    *self = LatencyStore::Compact { buckets, count };
-                } else {
-                    vec.push(v);
-                }
-            }
-            LatencyStore::Compact { buckets, count } => {
-                buckets[lat_bucket_index(v)] += 1;
-                *count += 1;
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn count(&self) -> u64 {
-        match self {
-            LatencyStore::Exact(vec) => vec.len() as u64,
-            LatencyStore::Compact { count, .. } => *count,
-        }
-    }
-
-    /// Samples held verbatim (the memory the cap bounds); `None` once
-    /// spilled to the fixed-size histogram.
-    fn exact_samples_held(&self) -> Option<usize> {
-        match self {
-            LatencyStore::Exact(vec) => Some(vec.len()),
-            LatencyStore::Compact { .. } => None,
-        }
-    }
-
-    /// Nearest-rank percentile: exact over the sorted samples, bucket
-    /// midpoint once spilled.
-    fn percentile_ps(&self, q: f64) -> Option<u64> {
-        match self {
-            LatencyStore::Exact(vec) => {
-                let mut sorted = vec.clone();
-                sorted.sort_unstable();
-                percentile_ps(&sorted, q)
-            }
-            LatencyStore::Compact { buckets, count } => {
-                if *count == 0 {
-                    return None;
-                }
-                let rank = ((q * *count as f64).ceil() as u64).clamp(1, *count);
-                let mut cum = 0;
-                for (idx, &n) in buckets.iter().enumerate() {
-                    cum += n;
-                    if cum >= rank {
-                        return Some(lat_bucket_mid(idx));
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    /// Fold this store into an aggregate. Exact-into-exact extends the
-    /// sample vector (the historical all-tenant path); as soon as any
-    /// side has spilled, the aggregate spills too.
-    fn merge_into(&self, acc: &mut LatencyStore) {
-        match self {
-            LatencyStore::Exact(vec) => match acc {
-                LatencyStore::Exact(avec) => avec.extend_from_slice(vec),
-                LatencyStore::Compact { buckets, count } => {
-                    for &s in vec.iter() {
-                        buckets[lat_bucket_index(s)] += 1;
-                    }
-                    *count += vec.len() as u64;
-                }
-            },
-            LatencyStore::Compact {
-                buckets: sb,
-                count: sc,
-            } => {
-                if let LatencyStore::Exact(avec) = acc {
-                    let mut buckets = vec![0u64; LAT_BUCKETS].into_boxed_slice();
-                    for &s in avec.iter() {
-                        buckets[lat_bucket_index(s)] += 1;
-                    }
-                    *acc = LatencyStore::Compact {
-                        buckets,
-                        count: avec.len() as u64,
-                    };
-                }
-                if let LatencyStore::Compact { buckets, count } = acc {
-                    for (b, s) in buckets.iter_mut().zip(sb.iter()) {
-                        *b += s;
-                    }
-                    *count += sc;
-                }
-            }
-        }
-    }
-}
-
 /// Per-tenant running counters.
 #[derive(Debug, Clone, Default)]
 pub struct TenantCollector {
@@ -183,15 +25,15 @@ pub struct TenantCollector {
     pub degraded: u64,
     pub degraded_energy_j: f64,
     /// Completed-request latencies, ps.
-    latencies: LatencyStore,
+    latencies: Vec<u64>,
     /// Degraded (digital-fallback) latencies, ps.
-    degraded_latencies: LatencyStore,
+    degraded_latencies: Vec<u64>,
     pub energy_j: f64,
     batch_size_sum: u64,
 }
 
 impl TenantCollector {
-    fn record(&mut self, outcome: &Outcome, latency_cap: usize) {
+    fn record(&mut self, outcome: &Outcome) {
         match *outcome {
             Outcome::Completed {
                 latency_ps,
@@ -199,7 +41,7 @@ impl TenantCollector {
                 energy_j,
             } => {
                 self.completed += 1;
-                self.latencies.push(latency_ps, latency_cap);
+                self.latencies.push(latency_ps);
                 self.energy_j += energy_j;
                 self.batch_size_sum += u64::from(batch_size);
             }
@@ -214,7 +56,7 @@ impl TenantCollector {
                 energy_j,
             } => {
                 self.degraded += 1;
-                self.degraded_latencies.push(latency_ps, latency_cap);
+                self.degraded_latencies.push(latency_ps);
                 self.degraded_energy_j += energy_j;
             }
         }
@@ -225,12 +67,6 @@ impl TenantCollector {
             + self.shed_expired_queued
             + self.shed_expired_serving
             + self.shed_engine_failed
-    }
-
-    /// Latency samples currently held verbatim (`None` once the tenant
-    /// spilled to the bounded histogram).
-    pub fn exact_latency_samples(&self) -> Option<usize> {
-        self.latencies.exact_samples_held()
     }
 }
 
@@ -312,9 +148,6 @@ pub struct MetricsSink {
     series: Vec<TenantSeries>,
     batch_size_series: Histogram,
     stage_energy_series: std::collections::BTreeMap<String, Gauge>,
-    /// Per-tenant exact-sample budget before spilling to the compact
-    /// histogram. `usize::MAX` (the default) never spills.
-    latency_cap: usize,
 }
 
 impl MetricsSink {
@@ -344,20 +177,7 @@ impl MetricsSink {
             tel: tel.clone(),
             series,
             stage_energy_series: std::collections::BTreeMap::new(),
-            latency_cap: usize::MAX,
         }
-    }
-
-    /// Bound the memory held per tenant: once a tenant has recorded
-    /// `cap` exact latency samples it spills to a fixed-size log-linear
-    /// histogram (≤ ±3.2% percentile error) and stops growing. The
-    /// default is unbounded, which keeps reports byte-identical to the
-    /// pre-cap behavior; million-tenant front-ends (ofpc-ingest) set a
-    /// small cap so metric state is O(tenants), not O(requests).
-    pub fn with_latency_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "latency cap must be positive");
-        self.latency_cap = cap;
-        self
     }
 
     pub fn on_arrival(&mut self, tenant: TenantId) {
@@ -366,7 +186,7 @@ impl MetricsSink {
     }
 
     pub fn on_outcome(&mut self, tenant: TenantId, outcome: &Outcome) {
-        self.tenants[tenant.0 as usize].record(outcome, self.latency_cap);
+        self.tenants[tenant.0 as usize].record(outcome);
         self.series[tenant.0 as usize].record(outcome);
     }
 
@@ -415,6 +235,8 @@ impl MetricsSink {
     pub fn report(&self, duration_s: f64, unfinished: u64, max_batch: usize) -> ServeReport {
         let mut tenants = Vec::new();
         for (i, t) in self.tenants.iter().enumerate() {
+            let mut lat = t.latencies.clone();
+            lat.sort_unstable();
             tenants.push(TenantReport {
                 tenant: TenantId(i as u32),
                 arrivals: t.arrivals,
@@ -426,9 +248,9 @@ impl MetricsSink {
                 degraded: t.degraded,
                 degraded_energy_j: t.degraded_energy_j,
                 goodput_rps: t.completed as f64 / duration_s,
-                p50_latency_us: t.latencies.percentile_ps(0.50).map(|v| v as f64 / 1e6),
-                p99_latency_us: t.latencies.percentile_ps(0.99).map(|v| v as f64 / 1e6),
-                p999_latency_us: t.latencies.percentile_ps(0.999).map(|v| v as f64 / 1e6),
+                p50_latency_us: percentile_ps(&lat, 0.50).map(|v| v as f64 / 1e6),
+                p99_latency_us: percentile_ps(&lat, 0.99).map(|v| v as f64 / 1e6),
+                p999_latency_us: percentile_ps(&lat, 0.999).map(|v| v as f64 / 1e6),
                 mean_batch_size: if t.completed > 0 {
                     t.batch_size_sum as f64 / t.completed as f64
                 } else {
@@ -451,10 +273,12 @@ impl MetricsSink {
             completed + shed + degraded + unfinished,
             "request conservation violated"
         );
-        let mut all_lat = LatencyStore::default();
-        for t in &self.tenants {
-            t.latencies.merge_into(&mut all_lat);
-        }
+        let mut all_lat: Vec<u64> = self
+            .tenants
+            .iter()
+            .flat_map(|t| t.latencies.iter().copied())
+            .collect();
+        all_lat.sort_unstable();
         let occupancy = if self.batch_sizes.is_empty() {
             0.0
         } else {
@@ -462,10 +286,12 @@ impl MetricsSink {
                 / (self.batch_sizes.len() * max_batch) as f64
         };
         let energy_total: f64 = self.energy_stages.values().sum();
-        let mut degraded_lat = LatencyStore::default();
-        for t in &self.tenants {
-            t.degraded_latencies.merge_into(&mut degraded_lat);
-        }
+        let mut degraded_lat: Vec<u64> = self
+            .tenants
+            .iter()
+            .flat_map(|t| t.degraded_latencies.iter().copied())
+            .collect();
+        degraded_lat.sort_unstable();
         ServeReport {
             duration_s,
             arrivals,
@@ -485,11 +311,11 @@ impl MetricsSink {
             } else {
                 0.0
             },
-            degraded_p99_latency_us: degraded_lat.percentile_ps(0.99).map(|v| v as f64 / 1e6),
+            degraded_p99_latency_us: percentile_ps(&degraded_lat, 0.99).map(|v| v as f64 / 1e6),
             degraded_energy_j: self.tenants.iter().map(|t| t.degraded_energy_j).sum(),
-            p50_latency_us: all_lat.percentile_ps(0.50).map(|v| v as f64 / 1e6),
-            p99_latency_us: all_lat.percentile_ps(0.99).map(|v| v as f64 / 1e6),
-            p999_latency_us: all_lat.percentile_ps(0.999).map(|v| v as f64 / 1e6),
+            p50_latency_us: percentile_ps(&all_lat, 0.50).map(|v| v as f64 / 1e6),
+            p99_latency_us: percentile_ps(&all_lat, 0.99).map(|v| v as f64 / 1e6),
+            p999_latency_us: percentile_ps(&all_lat, 0.999).map(|v| v as f64 / 1e6),
             batches: self.batch_sizes.len() as u64,
             mean_batch_occupancy: occupancy,
             energy_total_j: energy_total,
@@ -627,52 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_cap_bounds_memory_and_keeps_percentiles_close() {
-        let mut capped = MetricsSink::new(1).with_latency_cap(64);
-        let mut exact = MetricsSink::new(1);
-        // A skewed latency population: ramp plus heavy tail.
-        let samples: Vec<u64> = (0..5_000u64)
-            .map(|i| 1_000 + i * 37 + if i % 97 == 0 { 900_000 } else { 0 })
-            .collect();
-        for &lat in &samples {
-            for m in [&mut capped, &mut exact] {
-                m.on_arrival(TenantId(0));
-                m.on_outcome(
-                    TenantId(0),
-                    &Outcome::Completed {
-                        latency_ps: lat,
-                        batch_size: 1,
-                        energy_j: 1e-12,
-                    },
-                );
-            }
-        }
-        // The capped sink spilled: no per-sample memory retained.
-        assert_eq!(capped.tenant(TenantId(0)).exact_latency_samples(), None);
-        assert_eq!(
-            exact.tenant(TenantId(0)).exact_latency_samples(),
-            Some(samples.len())
-        );
-        let rc = capped.report(1.0, 0, 8);
-        let re = exact.report(1.0, 0, 8);
-        for (c, e) in [
-            (rc.p50_latency_us, re.p50_latency_us),
-            (rc.p99_latency_us, re.p99_latency_us),
-            (rc.p999_latency_us, re.p999_latency_us),
-        ] {
-            let (c, e) = (c.unwrap(), e.unwrap());
-            assert!(
-                (c - e).abs() / e <= 0.033,
-                "compact percentile {c} strayed from exact {e}"
-            );
-        }
-        // Counters are unaffected by the cap.
-        assert_eq!(rc.completed, re.completed);
-        assert_eq!(rc.arrivals, re.arrivals);
-    }
-
-    #[test]
-    fn default_sink_never_spills_and_matches_legacy_reports() {
+    fn default_sink_matches_legacy_reports() {
         let mut m = MetricsSink::new(1);
         for i in 0..10_000u64 {
             m.on_arrival(TenantId(0));
@@ -685,59 +466,10 @@ mod tests {
                 },
             );
         }
-        assert_eq!(
-            m.tenant(TenantId(0)).exact_latency_samples(),
-            Some(10_000),
-            "default cap must keep exact samples (golden fixtures depend on it)"
-        );
         let r = m.report(1.0, 0, 8);
         // Nearest-rank over 1..=10_000.
         assert_eq!(r.p50_latency_us, Some(5_000.0 / 1e6));
         assert_eq!(r.p99_latency_us, Some(9_900.0 / 1e6));
-    }
-
-    #[test]
-    fn bucket_index_and_mid_are_consistent() {
-        for v in (0..200u64).chain([1_000, 65_535, 1 << 20, u64::MAX >> 3]) {
-            let idx = lat_bucket_index(v);
-            let mid = lat_bucket_mid(idx);
-            if v < SUB as u64 {
-                assert_eq!(mid, v, "sub-{SUB} values are exact");
-            } else {
-                let err = (mid as f64 - v as f64).abs() / v as f64;
-                assert!(err <= 0.033, "v={v} mid={mid} err={err}");
-            }
-        }
-        // Indices are monotone in the value.
-        let mut last = 0;
-        for v in 0..100_000u64 {
-            let idx = lat_bucket_index(v);
-            assert!(idx >= last);
-            last = idx;
-        }
-        assert!(lat_bucket_index(u64::MAX) < LAT_BUCKETS);
-    }
-
-    #[test]
-    fn merge_into_spills_the_aggregate_when_any_tenant_spilled() {
-        let mut a = LatencyStore::default();
-        for v in [10u64, 20, 30] {
-            a.push(v, usize::MAX);
-        }
-        let mut b = LatencyStore::default();
-        for v in 0..100u64 {
-            b.push(1_000 + v, 8);
-        }
-        assert!(b.exact_samples_held().is_none());
-        let mut acc = LatencyStore::default();
-        a.merge_into(&mut acc);
-        assert_eq!(acc.exact_samples_held(), Some(3));
-        b.merge_into(&mut acc);
-        assert!(acc.exact_samples_held().is_none());
-        assert_eq!(acc.count(), 103);
-        // Medians survive the spill within bucket tolerance.
-        let p50 = acc.percentile_ps(0.50).unwrap();
-        assert!((p50 as f64 - 1_051.0).abs() / 1_051.0 <= 0.033, "p50={p50}");
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod trace;
 
 pub use registry::{
     labels, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, Labels,
-    MetricsRegistry, MetricsSnapshot,
+    LogHist, MetricsRegistry, MetricsSnapshot,
 };
 pub use trace::{chrome_trace_json, track, validate_balanced, Phase, TraceBuffer, TraceEvent};
 

@@ -150,6 +150,26 @@ fn bucket_mid(idx: usize) -> u64 {
     lo + (hi - lo) / 2
 }
 
+/// Nearest rank of quantile `q` (a fraction, e.g. `0.99`) among
+/// `count > 0` samples.
+fn nearest_rank(q: f64, count: u64) -> u64 {
+    ((q * count as f64).ceil() as u64).clamp(1, count)
+}
+
+/// Midpoint of the first bucket whose cumulative count reaches `rank`
+/// (the top bucket if none does) — the one nearest-rank walk both
+/// histogram types report percentiles with.
+fn rank_bucket_mid(counts: impl Iterator<Item = u64>, rank: u64) -> u64 {
+    let mut seen = 0u64;
+    for (idx, n) in counts.enumerate() {
+        seen += n;
+        if seen >= rank {
+            return bucket_mid(idx);
+        }
+    }
+    bucket_mid(BUCKETS - 1)
+}
+
 #[derive(Debug)]
 struct HistogramCore {
     buckets: Vec<AtomicU64>,
@@ -199,15 +219,10 @@ impl HistogramCore {
         if count == 0 {
             return 0;
         }
-        let rank = ((p / 100.0 * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (idx, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_mid(idx);
-            }
-        }
-        bucket_mid(BUCKETS - 1)
+        rank_bucket_mid(
+            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)),
+            nearest_rank(p / 100.0, count),
+        )
     }
 
     fn snapshot(&self, name: &str, labels: &Labels) -> HistogramSnapshot {
@@ -258,6 +273,49 @@ impl Histogram {
     /// Approximate percentile (`p` in percent, e.g. `99.9`).
     pub fn percentile(&self, p: f64) -> u64 {
         self.0.as_ref().map_or(0, |h| h.percentile(p))
+    }
+}
+
+/// Plain (single-owner, non-atomic) log-linear histogram over the same
+/// buckets as [`Histogram`], for aggregates that travel by value and
+/// merge — per-shard, per-class — instead of being shared across
+/// threads. Fixed size however many samples it holds; percentiles carry
+/// the same ±3.2% quantization error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogHist {
+    buckets: Box<[u64]>,
+    count: u64,
+}
+
+impl Default for LogHist {
+    fn default() -> Self {
+        LogHist {
+            buckets: vec![0; BUCKETS].into_boxed_slice(),
+            count: 0,
+        }
+    }
+}
+
+impl LogHist {
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+    }
+
+    /// Add every sample of `other` (equal to having recorded the union).
+    pub fn merge(&mut self, other: &LogHist) {
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *a += b;
+        }
+        self.count += other.count;
+    }
+
+    /// Nearest-rank percentile (`q` a fraction, e.g. `0.99`) as a bucket
+    /// midpoint; `None` when empty.
+    pub fn percentile(&self, q: f64) -> Option<u64> {
+        (self.count > 0)
+            .then(|| rank_bucket_mid(self.buckets.iter().copied(), nearest_rank(q, self.count)))
     }
 }
 
@@ -553,6 +611,30 @@ mod tests {
             let rel = (approx - truth).abs() / truth;
             assert!(rel < 0.04, "p{p}: approx {approx} vs exact {truth}");
         }
+    }
+
+    #[test]
+    fn log_hist_matches_the_registry_histogram_and_merges_exactly() {
+        assert_eq!(LogHist::default().percentile(0.5), None);
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("lat", &Labels::new());
+        let (mut whole, mut lo, mut hi) =
+            (LogHist::default(), LogHist::default(), LogHist::default());
+        for i in 0..10_000u64 {
+            let v = 3 + i * i % 7_919 * 1_013;
+            h.record(v);
+            whole.record(v);
+            if i % 3 == 0 {
+                lo.record(v)
+            } else {
+                hi.record(v)
+            }
+        }
+        for p in [50.0, 99.0, 99.9] {
+            assert_eq!(whole.percentile(p / 100.0), Some(h.percentile(p)), "p{p}");
+        }
+        lo.merge(&hi);
+        assert_eq!(lo, whole);
     }
 
     #[test]

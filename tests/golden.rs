@@ -177,3 +177,24 @@ fn fixtures_exist_for_every_case() {
         );
     }
 }
+
+#[test]
+fn committed_results_match_the_scale_experiments_md_claims() {
+    // EXPERIMENTS.md quotes E20 and E21 at full scale; the mini smoke
+    // runs write their own `_mini` files and must never land here.
+    let field = |name: &str, key: &str| -> u64 {
+        let path = format!("results/{name}.json");
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let doc: serde_json::Value = serde_json::from_str(&text).expect("results JSON");
+        doc.get("data")
+            .and_then(|d| d.get(key))
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("{path} has no data.{key}"))
+    };
+    let nodes = field("e20_controller_shard", "nodes");
+    assert!(nodes >= 100, "E20 report is from a {nodes}-node run");
+    assert_eq!(field("e20_controller_shard", "arrivals"), 115_000);
+    let tenants = field("e21_ingest", "tenants");
+    assert!(tenants >= 1_000_000, "E21 report has {tenants} tenants");
+}
