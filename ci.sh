@@ -84,8 +84,29 @@ run_no_warnings cargo test --offline --test shard -q
 echo "==> shard scaling gate (determinism, >=2x @4w, decision latency vs BENCH_BASELINE.json)"
 run_no_warnings cargo bench --offline -q -p ofpc-bench --bench shard_scaling
 
-echo "==> E20 sharded-controller smoke run (expt_controller_shard, mini)"
-run_no_warnings env OFPC_E20_MINI=1 cargo run --offline -q -p ofpc-bench --bin expt_controller_shard
+echo "==> E20 sharded-controller smoke run (expt_controller_shard, mini) at 1 and 2 workers"
+# The report must not depend on the worker count: both runs must write
+# exactly the committed mini report.
+e20_mini_json=results/e20_controller_shard_mini.json
+e20_committed="$(mktemp)"
+e20_one_worker="$(mktemp)"
+cp "$e20_mini_json" "$e20_committed"
+# However this step ends, put the committed report back and drop the
+# copies, so a rerun starts from the committed file.
+restore_e20_mini() {
+    cp "$e20_committed" "$e20_mini_json"
+    rm -f "$e20_committed" "$e20_one_worker"
+}
+trap restore_e20_mini EXIT
+run_no_warnings env OFPC_E20_MINI=1 OFPC_WORKERS=1 cargo run --offline -q -p ofpc-bench --bin expt_controller_shard
+cp "$e20_mini_json" "$e20_one_worker"
+run_no_warnings env OFPC_E20_MINI=1 OFPC_WORKERS=2 cargo run --offline -q -p ofpc-bench --bin expt_controller_shard
+if ! cmp "$e20_one_worker" "$e20_mini_json" || ! cmp "$e20_committed" "$e20_mini_json"; then
+    echo "==> FAIL: E20 mini report differs between 1 and 2 workers or from the committed file" >&2
+    exit 1
+fi
+restore_e20_mini
+trap - EXIT
 
 echo "==> ingest property suite (tests/ingest.rs)"
 run_no_warnings cargo test --offline --test ingest -q

@@ -33,6 +33,7 @@
 //! per-hook branch cost observed on an idle machine (<0.5%).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ofpc_bench::gate::median;
 use ofpc_engine::Primitive;
 use ofpc_net::NodeId;
 use ofpc_serve::{
@@ -118,11 +119,6 @@ fn time_run(telemetry: Option<&Telemetry>) -> f64 {
     let t0 = Instant::now();
     black_box(rt.run());
     t0.elapsed().as_secs_f64()
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
 }
 
 /// One repetition: interleave [`TRIALS_PER_REP`] trials of each variant

@@ -11,10 +11,14 @@
 //! `tests/shard.rs`:
 //!
 //! * ≥10⁵ admitted requests over the run on a ≥100-site topology;
-//! * bounded per-decision latency (p99 / max asserted in release);
 //! * periodic clone + from-scratch re-solves agree with the
 //!   incremental state exactly (E20Spec::check_every);
 //! * the report is byte-deterministic — wall-clock stays out of it.
+//!
+//! Decision latency is printed (p50/p99/max) but not asserted here: a
+//! wall-clock bound inside a deterministic harness fails on a loaded
+//! host. The `shard_scaling` bench gate holds the p99/max bounds over
+//! the median of repeated full runs.
 //!
 //! `OFPC_E20_MINI=1` runs the golden-fixture miniature instead (the ci
 //! smoke path; debug-build friendly) and writes its own
@@ -83,11 +87,6 @@ fn main() {
             "E20 must admit >=1e5 requests, got {}",
             report.admitted
         );
-        // Latency bounds only mean something in release builds.
-        if !cfg!(debug_assertions) {
-            assert!(p99 < 5_000.0, "p99 decision latency {p99:.0}µs >= 5ms");
-            assert!(max < 250_000.0, "max decision latency {max:.0}µs >= 250ms");
-        }
     }
     dump_json(
         if mini {

@@ -40,6 +40,13 @@ pub fn best_time(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Median of `samples` (upper median for an even count), sorting them
+/// in place.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    samples[samples.len() / 2]
+}
+
 /// Which way a gated figure improves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Better {

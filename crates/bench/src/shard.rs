@@ -20,6 +20,7 @@ use ofpc_net::{LinkId, NodeId};
 use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use ofpc_shard::{RegionMap, ShardEvent, ShardedController};
+use ofpc_telemetry::Telemetry;
 use serde::Serialize;
 
 /// One virtual tick per arrival — the storm's time axis.
@@ -132,6 +133,16 @@ pub struct E20Report {
 /// per-`apply_batch` wall-clock latencies (ns) — timing stays out of
 /// the report so its bytes are worker-count- and machine-independent.
 pub fn run_e20(spec: &E20Spec, pool: &WorkerPool) -> (E20Report, Vec<u64>) {
+    run_e20_with_telemetry(spec, pool, &Telemetry::disabled())
+}
+
+/// [`run_e20`] with `tel` attached to the controller: SHARD-track spans
+/// and its per-decision metrics. The report bytes do not change.
+pub fn run_e20_with_telemetry(
+    spec: &E20Spec,
+    pool: &WorkerPool,
+    tel: &Telemetry,
+) -> (E20Report, Vec<u64>) {
     let mut rng = SimRng::seed_from_u64(spec.seed);
     let wan = multi_region(
         &MultiRegionSpec::new(spec.regions, spec.sites_per_region),
@@ -177,7 +188,8 @@ pub fn run_e20(spec: &E20Spec, pool: &WorkerPool) -> (E20Report, Vec<u64>) {
 
     let region_map = RegionMap::from_assignment(wan.region_of.clone());
     let mut ctl = ShardedController::new(wan.topo.clone(), region_map, capacity, spec.max_options)
-        .with_pool(pool.clone());
+        .with_pool(pool.clone())
+        .with_telemetry(tel);
 
     let prims = [
         Primitive::VectorDotProduct,

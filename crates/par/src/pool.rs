@@ -22,7 +22,9 @@ use ofpc_telemetry::{labels, track, Telemetry};
 /// The pool is a lightweight handle: threads are scoped to each
 /// [`WorkerPool::scatter_gather`] call (no idle thread park/unpark state
 /// to leak between runs), which also lets task closures borrow from the
-/// caller's stack.
+/// caller's stack. A call from inside a task (on a clone of the same
+/// pool) simply spawns its own scoped threads, so nesting cannot
+/// deadlock.
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     workers: usize,
@@ -78,7 +80,8 @@ impl WorkerPool {
     /// per-task seeds ([`crate::sweep::split_seed`]). With one worker (or
     /// fewer than two tasks) everything runs inline on the caller's
     /// thread — that is the sequential path the differential tests diff
-    /// against.
+    /// against. A panicking task's original payload is re-raised on the
+    /// caller (the lowest failing worker's, once every thread is joined).
     pub fn scatter_gather<T, R, F>(&self, label: &str, tasks: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -123,7 +126,8 @@ impl WorkerPool {
                 })
                 .collect();
             for h in handles {
-                for (i, r) in h.join().expect("pool worker panicked") {
+                let results = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                for (i, r) in results {
                     slots[i] = Some(r);
                 }
             }
@@ -244,6 +248,87 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         WorkerPool::new(0);
+    }
+
+    #[test]
+    fn worker_panic_reraises_its_payload_and_the_pool_recovers() {
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let got = std::panic::catch_unwind(|| {
+            pool.scatter_gather("boom", vec![0u32, 1], |i, v| {
+                assert_ne!(std::thread::current().id(), caller);
+                if i == 1 {
+                    panic!("task {i} failed");
+                }
+                v
+            })
+        });
+        let payload = got.expect_err("the task panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("task 1 failed")
+        );
+        assert_eq!(
+            pool.scatter_gather("after", vec![3u32, 4], |_, v| v * 10),
+            vec![30, 40]
+        );
+    }
+
+    #[test]
+    fn nested_scatter_on_a_clone_matches_the_sequential_result() {
+        let run = |pool: &WorkerPool| -> Vec<Vec<u64>> {
+            let inner = pool.clone();
+            pool.scatter_gather("outer", (0..5u64).collect(), |i, v| {
+                inner.scatter_gather("inner", (0..7u64).collect(), |j, w| {
+                    split_seed(v * 100 + w, (i + j) as u64)
+                })
+            })
+        };
+        let seq = run(&WorkerPool::sequential());
+        for workers in [2, 3] {
+            assert_eq!(run(&WorkerPool::new(workers)), seq, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_on_clones_get_their_own_ordered_results() {
+        let pool = WorkerPool::new(2);
+        std::thread::scope(|scope| {
+            for caller in 0..2u64 {
+                let pool = pool.clone();
+                scope.spawn(move || {
+                    for round in 0..1_000u64 {
+                        let tasks: Vec<u64> = (0..3)
+                            .map(|k| caller * 1_000_000 + round * 10 + k)
+                            .collect();
+                        let want: Vec<u64> = tasks.iter().map(|v| v * 2).collect();
+                        assert_eq!(pool.scatter_gather("cc", tasks, |_, v| v * 2), want);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn stress_uneven_scatters_match_the_sequential_output() {
+        // Task i of round r burns a seed-dependent number of steps, so
+        // workers finish in every order across rounds.
+        let task = |r: u64, i: usize| {
+            let mut acc = split_seed(r, i as u64);
+            for _ in 0..acc % 64 {
+                acc = split_seed(acc, 1);
+            }
+            acc
+        };
+        for workers in [2, 3] {
+            let pool = WorkerPool::new(workers);
+            for r in 0..20_000u64 {
+                let n = 2 + (r % 2) as usize;
+                let got = pool.scatter_gather("stress", vec![r; n], |i, r| task(r, i));
+                let want: Vec<u64> = (0..n).map(|i| task(r, i)).collect();
+                assert_eq!(got, want, "workers={workers} round={r}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! A demand whose src and dst share a region is **local**: its options
 //! route over intra-region links only and place on in-region compute
 //! sites, so each region's locals form an independent subproblem over
-//! a disjoint node set — solved in parallel on the ofpc-par pool.
+//! a disjoint node set — solved in parallel on the ofpc-par pool when
+//! a link/site flip makes the work `Full`, in order on the caller when
+//! only arrivals and departures dirtied them.
 //! Cross-region demands are **boundary**: they route over the full
 //! up-graph, place anywhere, and allocate from the *residual* capacity
 //! after the local passes, in one sequential id-ordered sweep (locals
@@ -39,7 +41,7 @@ use ofpc_controller::{options_from_matrix, AllocOption, Demand};
 use ofpc_net::routing::{distance_matrix, shortest_paths_filtered};
 use ofpc_net::{LinkId, NodeId, Topology};
 use ofpc_par::WorkerPool;
-use ofpc_telemetry::{track, Telemetry};
+use ofpc_telemetry::{labels, track, Counter, Histogram, Telemetry};
 
 use crate::region::RegionMap;
 
@@ -146,6 +148,60 @@ impl DirtySet {
     }
 }
 
+/// What one settle pass did.
+struct Settled {
+    /// Region ids re-solved, ascending.
+    resolved_shards: Vec<u32>,
+    boundary_rerun: bool,
+    /// Whether the shard solves went through the pool (`Full` work) or
+    /// ran in order on the caller (incremental suffixes only).
+    scattered: bool,
+}
+
+/// Per-decision metric handles, registered when telemetry is attached;
+/// the defaults are no-op handles, so a disabled controller pays a
+/// branch per sample.
+#[derive(Debug, Clone, Default)]
+struct ShardMetrics {
+    settle_scatter: Counter,
+    settle_inline: Counter,
+    boundary_rerun: Counter,
+    boundary_skip: Counter,
+    dirty_shards: Histogram,
+}
+
+impl ShardMetrics {
+    fn register(tel: &Telemetry) -> Self {
+        let settle = |path| tel.counter("shard_settle_total", &labels(&[("path", path)]));
+        let boundary =
+            |outcome| tel.counter("shard_boundary_total", &labels(&[("outcome", outcome)]));
+        ShardMetrics {
+            settle_scatter: settle("scatter"),
+            settle_inline: settle("inline"),
+            boundary_rerun: boundary("rerun"),
+            boundary_skip: boundary("skip"),
+            dirty_shards: tel.histogram("shard_dirty_shards", &Vec::new()),
+        }
+    }
+
+    fn record(&self, settled: &Settled) {
+        let settle = if settled.scattered {
+            &self.settle_scatter
+        } else {
+            &self.settle_inline
+        };
+        settle.inc();
+        let boundary = if settled.boundary_rerun {
+            &self.boundary_rerun
+        } else {
+            &self.boundary_skip
+        };
+        boundary.inc();
+        self.dirty_shards
+            .record(settled.resolved_shards.len() as u64);
+    }
+}
+
 /// Result one worker returns for one dirty shard.
 struct ShardResult {
     region: u32,
@@ -175,6 +231,7 @@ pub struct ShardedController {
     next_id_min: u32,
     pool: WorkerPool,
     tel: Telemetry,
+    metrics: ShardMetrics,
     /// Decision sequence number, the time axis of SHARD-track spans.
     seq: u64,
 }
@@ -206,6 +263,7 @@ impl ShardedController {
             next_id_min: 0,
             pool: WorkerPool::sequential(),
             tel: Telemetry::disabled(),
+            metrics: ShardMetrics::default(),
             seq: 0,
         };
         for r in 0..shard_count as u32 {
@@ -220,8 +278,13 @@ impl ShardedController {
         self
     }
 
+    /// Attach an observability handle: SHARD-track spans per settle,
+    /// plus per-`apply_batch` metrics — `shard_settle_total{path=
+    /// "scatter"|"inline"}`, `shard_boundary_total{outcome="rerun"|
+    /// "skip"}` and the `shard_dirty_shards` histogram.
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         self.tel = tel.clone();
+        self.metrics = ShardMetrics::register(tel);
         self
     }
 
@@ -338,9 +401,10 @@ impl ShardedController {
     }
 
     /// Apply a batch of events, then settle: re-solve exactly the dirty
-    /// shards (in parallel) and reconcile the boundary sweep. Batching
-    /// lets a correlated fault burst dirty several shards and pay one
-    /// parallel settle instead of many sequential ones.
+    /// shards (in parallel when any needs `Full` work) and reconcile the
+    /// boundary sweep. Batching lets a correlated fault burst dirty
+    /// several shards and pay one parallel settle instead of many
+    /// sequential ones.
     pub fn apply_batch(&mut self, events: Vec<ShardEvent>) -> EventOutcome {
         let before: BTreeMap<u32, Option<Vec<NodeId>>> = self.placements();
         let pre_local_used = self.local_used();
@@ -406,8 +470,9 @@ impl ShardedController {
             }
         }
 
-        let (resolved_shards, boundary_rerun) = self.settle(&arrivals, &pre_local_used);
-        self.diff_outcome(&before, &arrivals, resolved_shards, boundary_rerun)
+        let settled = self.settle(&arrivals, &pre_local_used);
+        self.metrics.record(&settled);
+        self.diff_outcome(&before, &arrivals, settled)
     }
 
     fn flip_link(&mut self, l: LinkId, up: bool) {
@@ -456,15 +521,17 @@ impl ShardedController {
 
     // ----- the settle pass ----------------------------------------------
 
-    /// Drain the dirty set: parallel per-shard local re-solves, then the
-    /// sequential boundary reconciliation. Returns (resolved shard ids,
-    /// whether the boundary sweep reran).
-    fn settle(&mut self, arrivals: &[u32], pre_local_used: &[usize]) -> (Vec<u32>, bool) {
+    /// Drain the dirty set: per-shard local re-solves, then the
+    /// sequential boundary reconciliation.
+    fn settle(&mut self, arrivals: &[u32], pre_local_used: &[usize]) -> Settled {
         let eff_cap = self.eff_capacity();
         let new_ids: BTreeSet<u32> = arrivals.iter().copied().collect();
 
-        // Phase 1: dirty shards in parallel. Workers read shared state
-        // and return replacement caches + choices; merging is ordered.
+        // Phase 1: dirty shards. Solves read shared state and return
+        // replacement caches + choices; merging is in shard order. Only
+        // `Full` work (link/site flips, `full_resolve`) is worth a
+        // scatter: an arrival or departure re-places a suffix of a few
+        // demands, cheaper on the caller than any hand-off.
         let tasks: Vec<(u32, Work, Vec<u32>)> = self
             .dirty
             .shards
@@ -472,14 +539,20 @@ impl ShardedController {
             .map(|(&r, &w)| (r, w, self.local_ids(r)))
             .collect();
         let resolved_shards: Vec<u32> = tasks.iter().map(|t| t.0).collect();
+        let scattered = tasks.iter().any(|&(_, work, _)| work == Work::Full);
         let results: Vec<ShardResult> = {
             let this = &*self;
             let eff_cap = &eff_cap;
             let new_ids = &new_ids;
-            this.pool
-                .scatter_gather("shard_settle", tasks, move |_, (region, work, ids)| {
-                    this.solve_shard(region, work, &ids, new_ids, eff_cap)
-                })
+            let solve = move |(region, work, ids): (u32, Work, Vec<u32>)| {
+                this.solve_shard(region, work, &ids, new_ids, eff_cap)
+            };
+            if scattered {
+                this.pool
+                    .scatter_gather("shard_settle", tasks, |_, task| solve(task))
+            } else {
+                tasks.into_iter().map(solve).collect()
+            }
         };
         for res in results {
             let shard = &mut self.shards[res.region as usize];
@@ -558,7 +631,11 @@ impl ShardedController {
         debug_assert!(self.dirty.is_clean());
 
         self.emit_spans(&resolved_shards, run);
-        (resolved_shards, run)
+        Settled {
+            resolved_shards,
+            boundary_rerun: run,
+            scattered,
+        }
     }
 
     /// One shard's settle work — a pure function of shared state, safe
@@ -672,12 +749,11 @@ impl ShardedController {
         &self,
         before: &BTreeMap<u32, Option<Vec<NodeId>>>,
         arrivals: &[u32],
-        resolved_shards: Vec<u32>,
-        boundary_rerun: bool,
+        settled: Settled,
     ) -> EventOutcome {
         let mut out = EventOutcome {
-            resolved_shards,
-            boundary_rerun,
+            resolved_shards: settled.resolved_shards,
+            boundary_rerun: settled.boundary_rerun,
             ..EventOutcome::default()
         };
         let new_ids: BTreeSet<u32> = arrivals.iter().copied().collect();

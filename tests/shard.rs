@@ -10,7 +10,7 @@
 //! 10k-event churn property test over the structural invariants, and
 //! an objective-quality bound against the monolithic solver.
 
-use ofpc_bench::shard::{e20_mini, run_e20, E20Spec};
+use ofpc_bench::shard::{e20_mini, run_e20, run_e20_with_telemetry, E20Spec};
 use ofpc_controller::demand::{Demand, TaskDag};
 use ofpc_controller::options::enumerate_options;
 use ofpc_core::topo::{multi_region, MultiRegionSpec};
@@ -19,6 +19,7 @@ use ofpc_net::{LinkId, NodeId, Topology};
 use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use ofpc_shard::{RegionMap, ShardEvent, ShardedController};
+use ofpc_telemetry::{labels, Telemetry};
 use std::collections::BTreeSet;
 
 const PRIMS: [Primitive; 3] = [
@@ -258,4 +259,42 @@ fn e20_outcome_accounting_balances() {
     assert_eq!(report.final_live, E20Spec::mini().max_live);
     assert!(report.final_satisfied <= report.final_live);
     assert!(report.differential_checks > 0);
+}
+
+#[test]
+fn e20_mini_shard_metrics_count_every_decision() {
+    let tel = Telemetry::enabled();
+    let spec = E20Spec::mini();
+    let (report, decisions) = run_e20_with_telemetry(&spec, &WorkerPool::new(2), &tel);
+    let (plain, _) = run_e20(&spec, &WorkerPool::new(2));
+    assert_eq!(
+        format!("{report:?}"),
+        format!("{plain:?}"),
+        "telemetry must not change the report"
+    );
+
+    // One decision = one `apply_batch`: an arrival (with its departure)
+    // or a fault batch. Checkpoint re-solves are not decisions.
+    let batches = report.arrivals + report.fault_batches;
+    assert_eq!(decisions.len(), batches);
+    let snap = tel.snapshot();
+    let count = |name: &str, key: &str, value: &str| {
+        snap.counter(name, &labels(&[(key, value)])).unwrap_or(0) as usize
+    };
+    let scatter = count("shard_settle_total", "path", "scatter");
+    let inline = count("shard_settle_total", "path", "inline");
+    assert_eq!(scatter + inline, batches);
+    assert!(scatter > 0, "fault batches carry Full work and scatter");
+    assert!(inline > scatter, "arrival settles stay on the caller");
+    let rerun = count("shard_boundary_total", "outcome", "rerun");
+    assert_eq!(rerun, report.boundary_reruns);
+    assert_eq!(
+        rerun + count("shard_boundary_total", "outcome", "skip"),
+        batches
+    );
+    let dirty = snap
+        .histogram("shard_dirty_shards", &Vec::new())
+        .expect("dirty-shard histogram registered");
+    assert_eq!(dirty.count as usize, batches);
+    assert_eq!(dirty.sum as usize, report.shard_resolves);
 }
