@@ -124,6 +124,19 @@ rm -f "$baseline_copy"
 echo "==> E21 ingest front-end smoke run (expt_ingest, mini)"
 run_no_warnings env OFPC_E21_MINI=1 cargo run --offline -q -p ofpc-bench --bin expt_ingest
 
+echo "==> repo benchmark builds against the locked workspace (perfbench, serve_sweep smoke)"
+# perfbench is its own Cargo package with a checked-in lock file; build
+# it the way the benchmark runs it so an API or lock break shows here.
+# Its build output goes to the gitignored perfbench/target/.
+cargo build --release --offline --locked -q --manifest-path perfbench/Cargo.toml
+perfbench_last="$(cargo run --release --offline --locked -q --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_sweep --seconds 1 --trace 0 | tail -n 1)"
+echo "$perfbench_last"
+if ! grep -q '"correct": true' <<< "$perfbench_last" || ! grep -q '"failed": 0[,}]' <<< "$perfbench_last"; then
+    echo "==> FAIL: perfbench serve_sweep did not report correct: true, failed: 0" >&2
+    exit 1
+fi
+
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 

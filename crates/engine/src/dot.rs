@@ -201,25 +201,6 @@ impl DotProductUnit {
         unit
     }
 
-    /// Whether the unit has been calibrated.
-    pub fn is_calibrated(&self) -> bool {
-        self.calibration.is_some()
-    }
-
-    /// Attach shared amplitude-transmission caches to the two MZMs
-    /// (built from this unit's `mzm_a`/`mzm_b` configs, e.g. via
-    /// [`ofpc_photonics::tfcache::mzm_amplitude_cache`]). Attach *before*
-    /// [`DotProductUnit::calibrate`] so calibration and compute see the
-    /// same quantized curve.
-    pub fn set_mzm_caches(
-        &mut self,
-        a: std::sync::Arc<ofpc_par::TransferCache>,
-        b: std::sync::Arc<ofpc_par::TransferCache>,
-    ) {
-        self.mzm_a.set_amplitude_cache(a);
-        self.mzm_b.set_amplitude_cache(b);
-    }
-
     /// Run the calibration procedure: measure the photocurrent for a
     /// unit-product vector (all ones) and for a dark vector, storing the
     /// gain and offset that map integrated charge back to value. This is
@@ -430,8 +411,6 @@ impl DotProductUnit {
 
     /// Build the code → power-transmission LUTs once per unit, where
     /// the config allows it (passthrough drive, tractable code space).
-    /// Built through the [`ofpc_photonics::tfcache`] seam so the curve
-    /// values are bit-identical to any shared fused-power cache.
     fn ensure_luts(&mut self) {
         if self.scratch.luts_ready {
             return;
@@ -458,15 +437,16 @@ impl DotProductUnit {
     }
 
     /// DAC code → fused power transmission of an MZM with `config`,
-    /// dense over the code space. The grid step puts every decoded code
-    /// on a cache grid point, so the table is the fused curve itself.
+    /// dense over the code space. Each decoded code is snapped to the
+    /// grid of step `0.5/(ADC levels − 1)`, on which every code lies up
+    /// to rounding; the snap keeps the table bit-identical to the
+    /// outputs the golden fixtures pin.
     fn build_code_lut(config: &MzmConfig, dac: &Dac, adc: &Adc) -> std::sync::Arc<Vec<f64>> {
+        let mzm = MachZehnderModulator::new(config.clone());
         let step = 0.5 / (adc.levels() - 1) as f64;
-        let cache = ofpc_photonics::tfcache::mzm_fused_power_cache(config, step);
-        cache.preload((0..dac.levels()).map(|c| adc.decode_unit(c)));
         std::sync::Arc::new(
             (0..dac.levels())
-                .map(|c| cache.eval(adc.decode_unit(c)))
+                .map(|c| mzm.fused_power_transmission((adc.decode_unit(c) / step).round() * step))
                 .collect(),
         )
     }
@@ -667,6 +647,25 @@ mod tests {
         let got = unit.dot_nonneg(&a, &b);
         let want = exact_dot(&a, &b);
         assert!((got - want).abs() < 0.01, "got {got} want {want}");
+    }
+
+    #[test]
+    fn code_lut_is_fused_curve_at_converter_codes() {
+        // The grid snap in `build_code_lut` must leave every 12-bit code
+        // where it decoded: the table is then the fused curve itself at
+        // exactly the values the kernel feeds it.
+        let cfg = MzmConfig::default();
+        let mzm = MachZehnderModulator::new(cfg.clone());
+        let (dac, adc) = (Dac::ideal(12), Adc::ideal(12));
+        let lut = DotProductUnit::build_code_lut(&cfg, &dac, &adc);
+        assert_eq!(lut.len() as u64, dac.levels());
+        for (c, &got) in lut.iter().enumerate() {
+            let want = mzm.fused_power_transmission(adc.decode_unit(c as u64));
+            assert!(
+                (got - want).abs() <= 4.0 * f64::EPSILON,
+                "code {c}: {got} vs {want}"
+            );
+        }
     }
 
     #[test]

@@ -117,10 +117,6 @@ impl PatternMatcher {
         m
     }
 
-    pub fn is_calibrated(&self) -> bool {
-        self.unit_current_a.is_some()
-    }
-
     /// Measure the per-mismatch photocurrent with all-match and
     /// all-mismatch test blocks.
     pub fn calibrate(&mut self, n: usize) {

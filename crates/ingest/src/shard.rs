@@ -21,19 +21,19 @@
 
 use crate::tenant::TenantClass;
 use bytes::Bytes;
+use ofpc_net::events::EventQueue;
 use ofpc_net::{Addr, FrameError, NodeId, Packet, PchFrame, PchHeader};
 use ofpc_photonics::SimRng;
 use ofpc_serve::{
-    BatchPolicy, Batcher, ComputeRequest, Dispatch, EventQueue, RequestId, Scheduler, ServiceModel,
-    ShedReason, SiteSpec, SparseAdmission, TenantId, TenantShape,
+    BatchPolicy, Batcher, ComputeRequest, Dispatch, RequestId, Scheduler, ServiceModel, ShedReason,
+    SiteSpec, SparseAdmission, TenantId, TenantShape,
 };
 use ofpc_telemetry::LogHist;
 use std::collections::BTreeMap;
 
-/// Shard-local events. Variant order is the same-tick tie-break seed
-/// only through push order (the queue is FIFO within a tick), so the
-/// derive exists purely to satisfy the queue's `Ord` bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Shard-local events. Same-tick events pop in push order (the queue
+/// is FIFO within a tick).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Next aggregate-Poisson arrival on this shard.
     Arrival,
@@ -271,7 +271,8 @@ impl ShardState {
             return; // an empty shard generates nothing
         }
         let gap = self.rng.exponential(rate).ceil() as u64;
-        self.events.push(self.now_ps + gap.max(1), Ev::Arrival);
+        self.events
+            .schedule_at(self.now_ps + gap.max(1), Ev::Arrival);
     }
 
     /// Run the shard forward until `end_ps` (exclusive). Events at or
@@ -279,7 +280,7 @@ impl ShardState {
     /// what lets the driver interleave a global rebalance between
     /// epochs without tearing any in-progress event.
     pub(crate) fn run_until(&mut self, end_ps: u64) {
-        while let Some(t) = self.events.peek_time() {
+        while let Some(t) = self.events.peek_time_ps() {
             if t >= end_ps {
                 break;
             }
@@ -448,7 +449,7 @@ impl ShardState {
         }
         // Wake the pump when dispatching to this slot becomes useful
         // again; without it a lull in arrivals would strand ready work.
-        self.events.push(
+        self.events.schedule_at(
             d.free_ps.max(self.now_ps + 1),
             Ev::SlotFree {
                 node: d.node,
@@ -467,7 +468,7 @@ impl ShardState {
             },
         );
         self.events
-            .push(d.delivered_ps.max(self.now_ps + 1), Ev::Deliver { seq });
+            .schedule_at(d.delivered_ps.max(self.now_ps + 1), Ev::Deliver { seq });
     }
 
     fn settle(&mut self, seq: u64) {
@@ -499,7 +500,7 @@ impl ShardState {
         if let Some(t) = self.batcher.next_timeout_ps() {
             let due = t.max(self.now_ps + 1);
             if self.armed_tick.is_none_or(|a| due < a) {
-                self.events.push(due, Ev::BatchTick);
+                self.events.schedule_at(due, Ev::BatchTick);
                 self.armed_tick = Some(due);
             }
         }

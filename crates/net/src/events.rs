@@ -3,7 +3,8 @@
 //! A deterministic event queue over integer-picosecond timestamps. Ties
 //! break on insertion order (a monotone sequence number), so two runs of
 //! the same scenario pop events in exactly the same order — the property
-//! the replay tests pin down.
+//! the replay tests pin down. The network simulator, the serving
+//! runtime and the ingest shard loops all run on this one queue.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -88,43 +88,7 @@ pub fn shortest_path_nodes_filtered(
     dst: NodeId,
     link_ok: &dyn Fn(LinkId) -> bool,
 ) -> Option<Vec<NodeId>> {
-    // Dijkstra with predecessor tracking.
-    let mut dist: HashMap<NodeId, u64> = HashMap::new();
-    let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut heap: BinaryHeap<(std::cmp::Reverse<u64>, u32)> = BinaryHeap::new();
-    dist.insert(src, 0);
-    heap.push((std::cmp::Reverse(0), src.0));
-    while let Some((std::cmp::Reverse(d), node)) = heap.pop() {
-        let node = NodeId(node);
-        if d > *dist.get(&node).unwrap_or(&u64::MAX) {
-            continue;
-        }
-        if node == dst {
-            break;
-        }
-        for (link_id, next) in topo.neighbors(node) {
-            if !link_ok(link_id) {
-                continue;
-            }
-            let nd = d + topo.link(link_id).delay_ps();
-            if nd < *dist.get(&next).unwrap_or(&u64::MAX) {
-                dist.insert(next, nd);
-                prev.insert(next, node);
-                heap.push((std::cmp::Reverse(nd), next.0));
-            }
-        }
-    }
-    if src != dst && !prev.contains_key(&dst) {
-        return None;
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev[&cur];
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
+    shortest_route_filtered(topo, src, dst, link_ok).map(|r| r.nodes)
 }
 
 /// A concrete routed path: the node sequence, the exact links taken
@@ -150,8 +114,8 @@ impl RoutedPath {
 
 /// Delay-shortest route from `src` to `dst` over links accepted by
 /// `link_ok`, tracking the *exact* links taken — unlike
-/// [`shortest_path_nodes_filtered`] + [`path_links`], which re-resolves
-/// node pairs and may pick an excluded parallel span. This is the
+/// [`path_links`] over a node path, which re-resolves node pairs and
+/// may pick an excluded parallel span. This is the
 /// primitive behind k-disjoint enumeration, where exclusions must bind
 /// to link identities, not node adjacency.
 pub fn shortest_route_filtered(

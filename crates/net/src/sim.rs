@@ -17,7 +17,7 @@ use crate::addr::{Addr, Prefix};
 use crate::events::EventQueue;
 use crate::packet::Packet;
 use crate::pch::ResultStatus;
-use crate::queue::{DropTailQueue, QueueStats};
+use crate::queue::DropTailQueue;
 use crate::routing::{shortest_paths_filtered, RouteEntry, RoutingTable};
 use crate::stats::{DeliveryRecord, DropReason, StatsCollector};
 use crate::topology::{LinkId, NodeId, Topology};
@@ -367,12 +367,6 @@ impl Network {
         self.engines.get(&node).map_or(&[], |v| v.as_slice())
     }
 
-    /// Remove all engine slots at a node, returning them (controller
-    /// reconfiguration).
-    pub fn clear_engines(&mut self, node: NodeId) -> Vec<EngineSlot> {
-        self.engines.remove(&node).unwrap_or_default()
-    }
-
     /// Inject a packet into the network at `node` at absolute `at_ps`.
     pub fn inject(&mut self, at_ps: u64, node: NodeId, packet: Packet) {
         self.events.schedule_at(at_ps, Ev::Inject { node, packet });
@@ -474,12 +468,6 @@ impl Network {
     /// Current simulation time.
     pub fn now_ps(&self) -> u64 {
         self.events.now_ps()
-    }
-
-    /// Queue statistics for a link direction (`a_to_b` selects the
-    /// direction from `link.a` to `link.b`).
-    pub fn queue_stats(&self, link: LinkId, a_to_b: bool) -> QueueStats {
-        self.dirs[Self::dir_index(link, a_to_b)].queue.stats()
     }
 
     /// Queue occupancy in `[0,1]` — the analog the load balancer reads.

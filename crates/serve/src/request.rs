@@ -115,12 +115,6 @@ pub enum Outcome {
     },
 }
 
-impl Outcome {
-    pub fn is_completed(&self) -> bool {
-        matches!(self, Outcome::Completed { .. })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,6 +26,7 @@ use ofpc_core::OnFiberNetwork;
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
 use ofpc_engine::Primitive;
 use ofpc_faults::{FaultKind, FaultPlan};
+use ofpc_net::events::EventQueue;
 use ofpc_net::routing::shortest_paths;
 use ofpc_net::{LinkId, NodeId};
 use ofpc_photonics::SimRng;
@@ -37,8 +38,6 @@ use ofpc_telemetry::{track, Counter, Telemetry};
 use ofpc_transponder::compute::ComputeTransponderConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-
-use crate::events::EventQueue;
 
 /// One tenant's serving contract.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -148,7 +147,7 @@ struct PendingBatch {
 }
 
 /// Event kinds, ordered deterministically via (time, seq).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     Arrival {
         tenant: u32,
@@ -484,7 +483,7 @@ impl ServeRuntime {
     }
 
     fn push_event(&mut self, t_ps: u64, ev: Event) {
-        self.events.push(t_ps, ev);
+        self.events.schedule_at(t_ps, ev);
     }
 
     fn schedule_next_arrival(&mut self, tenant: u32) {

@@ -540,15 +540,6 @@ impl Scheduler {
         }
         old.abs_diff(slots)
     }
-
-    /// Next time any busy slot frees, if any (for idle-time stepping).
-    pub fn next_free_ps(&self, now_ps: u64) -> Option<u64> {
-        self.slots
-            .values()
-            .filter(|s| s.busy_until_ps > now_ps)
-            .map(|s| s.busy_until_ps)
-            .min()
-    }
 }
 
 #[cfg(test)]

@@ -31,17 +31,6 @@ impl Default for ReconfigTiming {
 }
 
 impl ReconfigTiming {
-    /// Derive the control-plane timing from a calibrated weight DAC:
-    /// set-points stream at the part's word rate (bits × samples/s),
-    /// capped by the 1 Gb/s management channel; thermo-optic settling
-    /// is a property of the phase shifters, not the DAC, and stays.
-    pub fn from_weight_dac(dac: &dyn ofpc_photonics::parts::DacPart) -> Self {
-        ReconfigTiming {
-            control_rate_bps: (dac.sample_rate_hz() * f64::from(dac.bits())).min(1e9),
-            settle_s: ReconfigTiming::default().settle_s,
-        }
-    }
-
     /// Time to install `op`, seconds: payload transfer plus settling.
     pub fn reconfigure_latency_s(&self, op: &ComputeOp) -> f64 {
         let payload_bits = match op {

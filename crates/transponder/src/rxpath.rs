@@ -76,10 +76,6 @@ impl RxPath {
         self.tel_bits = tel.counter("transponder_rx_bits_total", &Vec::new());
     }
 
-    pub fn is_calibrated(&self) -> bool {
-        self.threshold_a.is_some()
-    }
-
     /// Set the decision threshold from the expected received '1' power
     /// (link budget): threshold at half the '1' photocurrent.
     pub fn calibrate_for_one_level(&mut self, one_level_w: f64) {
