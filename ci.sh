@@ -108,6 +108,47 @@ fi
 restore_e20_mini
 trap - EXIT
 
+echo "==> E1-E5, E9, E10 reports match their harnesses (results/ unchanged by a rerun)"
+# Each of these harnesses is deterministic and runs in under a second:
+# it rewrites results/<report>.json and prints the table kept in
+# results/<harness>.txt. Rerun all seven and fail if either file differs
+# from the committed one.
+pinned_reports=(
+    expt_fig1_scenario:e1_fig1_scenario
+    expt_fig2_primitives:e2_primitives
+    expt_fig34_transponder:e3_transponder
+    expt_table1_usecases:e4_table1_usecases
+    expt_energy_speed:e5_energy_speed
+    expt_incremental_deployment:e9_incremental_deployment
+    expt_noise_ablation:e10_noise_ablation
+)
+pinned_dir="$(mktemp -d)"
+for pair in "${pinned_reports[@]}"; do
+    cp "results/${pair#*:}.json" "$pinned_dir/"
+done
+# However this step ends, put the committed reports back and drop the
+# copies, so a rerun starts from the committed files.
+restore_pinned_reports() {
+    for pair in "${pinned_reports[@]}"; do
+        cp "$pinned_dir/${pair#*:}.json" results/
+    done
+    rm -rf "$pinned_dir"
+}
+trap restore_pinned_reports EXIT
+run_no_warnings cargo build --offline -q -p ofpc-bench --bins
+for pair in "${pinned_reports[@]}"; do
+    bin="${pair%%:*}"
+    report="${pair#*:}"
+    cargo run --offline -q -p ofpc-bench --bin "$bin" > "$pinned_dir/$bin.txt"
+    if ! cmp "$pinned_dir/$report.json" "results/$report.json" \
+        || ! cmp "results/$bin.txt" "$pinned_dir/$bin.txt"; then
+        echo "==> FAIL: $bin output differs from the committed results/$report.json or results/$bin.txt" >&2
+        exit 1
+    fi
+done
+restore_pinned_reports
+trap - EXIT
+
 echo "==> ingest property suite (tests/ingest.rs)"
 run_no_warnings cargo test --offline --test ingest -q
 

@@ -22,9 +22,9 @@
 //! * [`greedy`] — the cheap baseline allocator.
 //! * [`teupdate`] — turning an allocation into per-router dual-field
 //!   route updates (§3's "next-hop updates to all routers").
-//! * [`protection`] — failure recovery: precomputed link-disjoint backup
-//!   paths, failed-site exclusion for allocator re-runs, and
-//!   time-to-recovery accounting.
+//! * [`protection`] — failure recovery: the protection classification
+//!   `ofpc-resil` reports, failed-site exclusion for allocator re-runs,
+//!   and time-to-recovery accounting.
 
 pub mod demand;
 pub mod greedy;
@@ -42,10 +42,7 @@ pub use options::{
     enumerate_options, enumerate_options_filtered, options_from_matrix, AllocOption,
     ProblemInstance,
 };
-pub use protection::{
-    disjoint_pair, protected_paths, protected_paths_filtered, surviving_slots, ProtectedPair,
-    ProtectedPaths, ProtectionMode, RecoveryParams, RecoveryTimeline,
-};
+pub use protection::{surviving_slots, ProtectionMode, RecoveryParams, RecoveryTimeline};
 pub use teupdate::{build_plan_from_placements, ApplyError, ApplyReport, FailedCmd};
 
 /// An allocation: for each demand (by index), the chosen option index

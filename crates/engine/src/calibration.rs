@@ -26,56 +26,6 @@ impl DotCalibration {
     }
 }
 
-/// Running drift tracker: photonic chains drift with temperature; a
-/// production engine re-calibrates when the drift estimate exceeds a
-/// threshold. The tracker holds an exponentially weighted estimate of the
-/// ratio between fresh unit-current measurements and the stored
-/// calibration.
-#[derive(Debug, Clone)]
-pub struct DriftTracker {
-    /// EWMA of measured/calibrated unit-current ratio.
-    ratio: f64,
-    /// EWMA weight for new observations.
-    alpha: f64,
-    /// Re-calibration threshold on `|ratio − 1|`.
-    threshold: f64,
-    observations: u64,
-}
-
-impl DriftTracker {
-    pub fn new(alpha: f64, threshold: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0,1]");
-        assert!(threshold > 0.0, "threshold must be positive");
-        DriftTracker {
-            ratio: 1.0,
-            alpha,
-            threshold,
-            observations: 0,
-        }
-    }
-
-    /// Record a fresh measurement of the unit current against the stored
-    /// calibration value.
-    pub fn observe(&mut self, measured_unit_a: f64, calibrated_unit_a: f64) {
-        if calibrated_unit_a <= 0.0 {
-            return;
-        }
-        let r = measured_unit_a / calibrated_unit_a;
-        self.ratio += self.alpha * (r - self.ratio);
-        self.observations += 1;
-    }
-
-    /// Current drift estimate, as a fraction (0 = no drift).
-    pub fn drift(&self) -> f64 {
-        (self.ratio - 1.0).abs()
-    }
-
-    /// Whether the engine should re-calibrate.
-    pub fn needs_recalibration(&self) -> bool {
-        self.observations > 0 && self.drift() > self.threshold
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,40 +40,5 @@ mod tests {
         let current = 3.5 * 2e-3 + 10.0 * 1e-6;
         let got = cal.apply(current, 10);
         assert!((got - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn drift_tracker_flags_sustained_drift() {
-        let mut t = DriftTracker::new(0.5, 0.05);
-        assert!(!t.needs_recalibration());
-        for _ in 0..20 {
-            t.observe(0.9, 1.0); // 10% gain sag
-        }
-        assert!(t.drift() > 0.05);
-        assert!(t.needs_recalibration());
-    }
-
-    #[test]
-    fn drift_tracker_tolerates_jitter_around_unity() {
-        let mut t = DriftTracker::new(0.1, 0.05);
-        for i in 0..50 {
-            let r = if i % 2 == 0 { 1.01 } else { 0.99 };
-            t.observe(r, 1.0);
-        }
-        assert!(!t.needs_recalibration(), "drift {}", t.drift());
-    }
-
-    #[test]
-    fn drift_tracker_ignores_bad_reference() {
-        let mut t = DriftTracker::new(0.5, 0.05);
-        t.observe(1.0, 0.0); // nonsense reference must not poison the EWMA
-        assert_eq!(t.drift(), 0.0);
-        assert!(!t.needs_recalibration());
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn rejects_bad_alpha() {
-        DriftTracker::new(1.5, 0.05);
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! The robustness question the paper leaves open: computing *in* the
 //! network means inheriting the network's failure modes. A WAN loses
-//! fibers to backhoes, amplifiers drift, lasers droop, photodetectors
-//! degrade — and unlike a datacenter accelerator, a photonic engine
-//! spliced into a live route cannot simply be rebooted out of the data
-//! path. This crate closes the loop the §3 controller sketches
-//! ("continuously track the status of all photonic compute
-//! transponders"): inject faults, detect them, and recover.
+//! fibers to backhoes, engine sites fail, analog noise creeps up — and
+//! unlike a datacenter accelerator, a photonic engine spliced into a
+//! live route cannot simply be rebooted out of the data path. This
+//! crate closes the loop the §3 controller sketches ("continuously
+//! track the status of all photonic compute transponders"): inject
+//! faults, charge a fixed detection delay
+//! ([`ofpc_controller::RecoveryParams`]), and recover.
 //!
 //! * [`plan`] — [`plan::FaultPlan`]: a deterministic, seedable schedule
 //!   of timed fault events (fiber cuts, link flaps, engine hard-fails,
@@ -15,25 +16,20 @@
 //! * [`mod@inject`] — threads a plan into `ofpc-net`'s discrete-event
 //!   simulator as scheduled events, so faults interleave with packets
 //!   in one deterministic timeline.
-//! * [`drift`] — slow analog failure models (EDFA gain drift, laser
-//!   power droop, photodetector responsivity degradation) mapped to the
-//!   observables the `ofpc-transponder` watchdog consumes.
 //! * [`orchestrator`] — the recovery loop: reconverge routes, re-run the
 //!   allocator excluding failed sites, re-install the plan, and account
 //!   time-to-recovery ([`ofpc_controller::RecoveryTimeline`]) and
 //!   availability.
 //! * [`storm`] — seeded fault *storms*: bursts of correlated fiber cuts
-//!   with engine fails and analog drift riding along, the adversarial
-//!   input the proactive multipath layer (`ofpc-resil`) is gated
-//!   against.
+//!   with engine fails and analog noise steps riding along, the
+//!   adversarial input the proactive multipath layer (`ofpc-resil`) is
+//!   gated against.
 
-pub mod drift;
 pub mod inject;
 pub mod orchestrator;
 pub mod plan;
 pub mod storm;
 
-pub use drift::{EdfaGainDrift, LaserDroop, PdDegradation};
 pub use inject::inject;
 pub use orchestrator::{trace_recovery, AvailabilityLedger, Orchestrator, RecoveryOutcome};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, MtbfSpec};

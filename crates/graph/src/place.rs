@@ -17,7 +17,7 @@
 
 use crate::lower::{CompiledPlan, Target};
 use ofpc_controller::{enumerate_options, greedy::solve_greedy, Demand, TaskDag};
-use ofpc_net::routing::{distance_matrix, k_disjoint_paths};
+use ofpc_net::routing::distance_matrix;
 use ofpc_net::{NodeId, Topology};
 use ofpc_photonics::wdm::WdmGrid;
 use serde::{Deserialize, Serialize};
@@ -79,10 +79,6 @@ pub enum PlaceError {
     /// No feasible site tuple exists (disconnected endpoints, or no
     /// compute sites with free slots).
     NoFeasiblePlacement,
-    /// The topology offers no second link-disjoint corridor between the
-    /// endpoints (or no compute slots on it), so a protected placement
-    /// cannot pin a backup copy off the primary fibers.
-    NoDisjointBackup,
 }
 
 impl std::fmt::Display for PlaceError {
@@ -90,9 +86,6 @@ impl std::fmt::Display for PlaceError {
         match self {
             PlaceError::NoFeasiblePlacement => {
                 write!(f, "no feasible site placement for the photonic stages")
-            }
-            PlaceError::NoDisjointBackup => {
-                write!(f, "no link-disjoint backup corridor with compute slots")
             }
         }
     }
@@ -185,66 +178,6 @@ pub fn place(
     })
 }
 
-/// Disjoint-path stage pinning: place the plan twice, with each copy's
-/// photonic stages confined to the compute sites of one of two
-/// link-disjoint `src → dst` corridors (`ofpc_net::routing`'s
-/// k-disjoint enumeration). The redundancy layer (`ofpc-resil`) can
-/// then run the copies as a replica set that no single fiber cut can
-/// take out together.
-///
-/// Returns `(primary, backup)` in corridor order (shortest first).
-/// Fails with [`PlaceError::NoDisjointBackup`] when the topology is a
-/// tree between the endpoints, or when the second corridor carries no
-/// compute slots — callers degrade to serialized same-path replication
-/// rather than silently running unprotected.
-pub fn place_disjoint(
-    plan: &CompiledPlan,
-    topo: &Topology,
-    node_slots: &[usize],
-    src: NodeId,
-    dst: NodeId,
-    wdm_channels: usize,
-) -> Result<(PlacedPlan, PlacedPlan), PlaceError> {
-    let corridors = k_disjoint_paths(topo, src, dst, 2);
-    if corridors.len() < 2 {
-        return Err(PlaceError::NoDisjointBackup);
-    }
-    let mut placed = Vec::with_capacity(2);
-    for corridor in corridors.iter().take(2) {
-        // Pin this copy's stages to the corridor: mask away every slot
-        // that is not on it (endpoints keep their slots — they are
-        // shared by construction).
-        let masked: Vec<usize> = node_slots
-            .iter()
-            .enumerate()
-            .map(|(n, &s)| {
-                if corridor.nodes.contains(&NodeId(n as u32)) {
-                    s
-                } else {
-                    0
-                }
-            })
-            .collect();
-        match place(plan, topo, &masked, src, dst, wdm_channels) {
-            Ok(p) => placed.push(p),
-            // The primary corridor failing is a genuine infeasibility;
-            // a slotless backup corridor is the no-backup case.
-            Err(e) if placed.is_empty() => return Err(e),
-            Err(_) => return Err(PlaceError::NoDisjointBackup),
-        }
-    }
-    let backup = placed.pop().expect("two placements");
-    let primary = placed.pop().expect("two placements");
-    // The pinning must be real: no engine site may serve both copies
-    // (shared endpoints carry no photonic stages of either copy).
-    for site in primary.photonic_sites() {
-        if backup.photonic_sites().contains(&site) {
-            return Err(PlaceError::NoDisjointBackup);
-        }
-    }
-    Ok((primary, backup))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,60 +235,6 @@ mod tests {
         let topo = Topology::fig1();
         let err = place(&plan(), &topo, &[0, 0, 0, 0], NodeId(0), NodeId(3), 4);
         assert_eq!(err, Err(PlaceError::NoFeasiblePlacement));
-    }
-
-    // Two photonic stages: small enough to fit one corridor's slots.
-    fn small_plan() -> CompiledPlan {
-        let mut rng = SimRng::seed_from_u64(17);
-        let mlp = Mlp::new_random(&[16, 16, 8], &mut rng);
-        let g = dnn_graph(&mlp, 4.0, 6.0);
-        let cfg = LowerConfig {
-            budget: ErrorBudget::realistic(),
-            model: ServiceModel::from_transponder(&ComputeTransponderConfig::realistic(), 4),
-            digital: ComputeModel::edge_soc(),
-            variants: Vec::new(),
-        };
-        lower(&g, &cfg).expect("lowers")
-    }
-
-    #[test]
-    fn disjoint_pinning_separates_the_copies_on_fig1() {
-        // fig1 is 2-connected between A and D: the primary rides one
-        // corridor (via B or C), the backup the other — no engine site
-        // and no fiber span shared.
-        let topo = Topology::fig1();
-        let (primary, backup) =
-            place_disjoint(&small_plan(), &topo, &[0, 2, 2, 0], NodeId(0), NodeId(3), 4)
-                .expect("fig1 offers two corridors");
-        let a = primary.photonic_sites();
-        let b = backup.photonic_sites();
-        assert!(!a.is_empty() && !b.is_empty());
-        assert!(
-            a.iter().all(|s| !b.contains(s)),
-            "copies must not share engine sites: {a:?} vs {b:?}"
-        );
-        // Both copies still deliver src → dst.
-        assert_eq!((primary.src, primary.dst), (NodeId(0), NodeId(3)));
-        assert_eq!((backup.src, backup.dst), (NodeId(0), NodeId(3)));
-    }
-
-    #[test]
-    fn tree_topology_has_no_disjoint_backup() {
-        // A line is a tree: one corridor only. The caller must hear
-        // that and degrade explicitly instead of double-placing on the
-        // same fiber.
-        let topo = Topology::line(4, 10.0);
-        let err = place_disjoint(&small_plan(), &topo, &[0, 2, 2, 0], NodeId(0), NodeId(3), 4);
-        assert_eq!(err, Err(PlaceError::NoDisjointBackup));
-    }
-
-    #[test]
-    fn slotless_backup_corridor_is_reported_not_papered_over() {
-        // Slots only on the primary corridor's site: the disjoint
-        // corridor exists but cannot compute.
-        let topo = Topology::fig1();
-        let err = place_disjoint(&small_plan(), &topo, &[0, 2, 0, 0], NodeId(0), NodeId(3), 4);
-        assert_eq!(err, Err(PlaceError::NoDisjointBackup));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub const STATUS_SHIFT: u8 = 2;
 pub enum ResultStatus {
     /// Result (if computed) came from a healthy engine.
     Ok = 0,
-    /// A matching engine was found but its watchdog marked it unhealthy;
+    /// A matching engine was found but it is marked unhealthy;
     /// the op was skipped rather than emitting a garbage analog value.
     EngineUnhealthy = 1,
     /// The request waited past its deadline before any engine ran it.

@@ -105,19 +105,14 @@ impl RoutedPath {
     pub fn shares_link_with(&self, other: &RoutedPath) -> bool {
         self.links.iter().any(|l| other.links.contains(l))
     }
-
-    /// Whether any of `down` takes this path out.
-    pub fn uses_any(&self, down: &[LinkId]) -> bool {
-        self.links.iter().any(|l| down.contains(l))
-    }
 }
 
 /// Delay-shortest route from `src` to `dst` over links accepted by
 /// `link_ok`, tracking the *exact* links taken — unlike
 /// [`path_links`] over a node path, which re-resolves node pairs and
 /// may pick an excluded parallel span. This is the
-/// primitive behind k-disjoint enumeration, where exclusions must bind
-/// to link identities, not node adjacency.
+/// primitive behind `ofpc-resil`'s link-disjoint route planning, where
+/// exclusions must bind to link identities, not node adjacency.
 pub fn shortest_route_filtered(
     topo: &Topology,
     src: NodeId,
@@ -174,49 +169,6 @@ pub fn shortest_route_filtered(
         links,
         delay_ps,
     })
-}
-
-/// Up to `k` pairwise link-disjoint `src → dst` paths, shortest first:
-/// greedy iterative Dijkstra, removing each found path's links before
-/// the next round (the classic link-disjoint generalization of
-/// `disjoint_pair`; greedy is not maximal on adversarial graphs, but it
-/// is deterministic and exact for the 2-connected topologies here).
-/// Returns fewer than `k` paths when the topology runs out of disjoint
-/// capacity, and an empty vector when `dst` is unreachable.
-pub fn k_disjoint_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<RoutedPath> {
-    k_disjoint_paths_filtered(topo, src, dst, k, &|_| true)
-}
-
-/// [`k_disjoint_paths`] over the links accepted by `link_ok` (cut
-/// fibers are excluded before disjointness is even considered).
-pub fn k_disjoint_paths_filtered(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    link_ok: &dyn Fn(LinkId) -> bool,
-) -> Vec<RoutedPath> {
-    let mut out: Vec<RoutedPath> = Vec::new();
-    if src == dst {
-        if k > 0 {
-            out.push(RoutedPath {
-                nodes: vec![src],
-                links: Vec::new(),
-                delay_ps: 0,
-            });
-        }
-        return out;
-    }
-    let mut used: Vec<LinkId> = Vec::new();
-    while out.len() < k {
-        let ok = |l: LinkId| link_ok(l) && !used.contains(&l);
-        let Some(path) = shortest_route_filtered(topo, src, dst, &ok) else {
-            break;
-        };
-        used.extend(&path.links);
-        out.push(path);
-    }
-    out
 }
 
 /// The links traversed by a node path (adjacent pairs resolved through
@@ -388,8 +340,10 @@ mod tests {
         assert_eq!(path.len(), 3); // A → {B|C} → D
         assert_eq!(path[0], a);
         assert_eq!(path[2], d);
-        // Self-path.
+        // Self-path: trivial whatever the filter.
         assert_eq!(shortest_path_nodes(&t, a, a).unwrap(), vec![a]);
+        let own = shortest_route_filtered(&t, a, a, &|_| false).unwrap();
+        assert_eq!((own.nodes, own.links, own.delay_ps), (vec![a], vec![], 0));
     }
 
     #[test]
@@ -411,80 +365,39 @@ mod tests {
         let sp = shortest_paths_filtered(&t, a, &ok);
         assert!(sp.contains_key(&d));
         assert!(!sp.contains_key(&b));
-    }
-
-    #[test]
-    fn fig1_yields_two_disjoint_paths() {
-        let t = Topology::fig1();
-        let a = t.find_node("A").unwrap();
-        let d = t.find_node("D").unwrap();
-        let paths = k_disjoint_paths(&t, a, d, 4);
-        // fig1 is 2-connected between A and D: exactly two disjoint
-        // paths (via B and via C), shortest first.
-        assert_eq!(paths.len(), 2);
-        assert!(paths[0].delay_ps <= paths[1].delay_ps);
-        assert!(!paths[0].shares_link_with(&paths[1]));
-        for p in &paths {
-            assert_eq!(p.nodes.first(), Some(&a));
-            assert_eq!(p.nodes.last(), Some(&d));
-            assert_eq!(p.links.len(), p.nodes.len() - 1);
+        // The exact-link route takes the same detour, each link joins
+        // the consecutive nodes it claims to, and its delay is the sum
+        // over exactly those links.
+        let route = shortest_route_filtered(&t, a, d, &ok).unwrap();
+        assert_eq!(route.nodes, path);
+        assert!(route.links.iter().all(|&l| ok(l)));
+        for (w, &l) in route.nodes.windows(2).zip(&route.links) {
+            assert!(t.neighbors(w[0]).contains(&(l, w[1])));
         }
-        assert_ne!(paths[0].nodes[1], paths[1].nodes[1], "distinct middles");
+        let delay: u64 = route.links.iter().map(|&l| t.link(l).delay_ps()).sum();
+        assert_eq!(route.delay_ps, delay);
     }
 
     #[test]
-    fn line_yields_one_path_ring_yields_two() {
-        let line = Topology::line(3, 50.0);
-        assert_eq!(k_disjoint_paths(&line, NodeId(0), NodeId(2), 3).len(), 1);
-        let ring = Topology::ring(5, 50.0);
-        let paths = k_disjoint_paths(&ring, NodeId(0), NodeId(2), 3);
-        assert_eq!(paths.len(), 2);
-        assert!(!paths[0].shares_link_with(&paths[1]));
-        // Clockwise (2 hops) before counter-clockwise (3 hops).
-        assert_eq!(paths[0].links.len(), 2);
-        assert_eq!(paths[1].links.len(), 3);
-    }
-
-    #[test]
-    fn parallel_spans_are_distinct_disjoint_paths() {
+    fn route_filter_binds_to_parallel_link_ids() {
         // Two parallel fibers between the same pair: node-identical
-        // paths, but link-disjoint — only link-aware enumeration finds
-        // the second one.
+        // routes, but distinct links. Excluding the short span by id
+        // must yield the long one, which a node path cannot express
+        // (`path_links` re-resolves to the short span).
         let mut t = Topology::new();
         let x = t.add_node("x");
         let y = t.add_node("y");
         let l0 = t.add_link(x, y, 10.0);
         let l1 = t.add_link(x, y, 20.0);
-        let paths = k_disjoint_paths(&t, x, y, 4);
-        assert_eq!(paths.len(), 2);
-        assert_eq!(paths[0].links, vec![l0]);
-        assert_eq!(paths[1].links, vec![l1]);
-        assert_eq!(paths[0].nodes, paths[1].nodes);
-    }
-
-    #[test]
-    fn disjoint_paths_respect_the_link_filter() {
-        let t = Topology::fig1();
-        let a = t.find_node("A").unwrap();
-        let b = t.find_node("B").unwrap();
-        let d = t.find_node("D").unwrap();
-        let b_links: Vec<LinkId> = t.neighbors(b).into_iter().map(|(l, _)| l).collect();
-        let ok = |l: LinkId| !b_links.contains(&l);
-        let paths = k_disjoint_paths_filtered(&t, a, d, 4, &ok);
-        assert_eq!(paths.len(), 1, "only the C route survives the filter");
-        assert!(!paths[0].nodes.contains(&b));
-        assert!(paths[0].links.iter().all(|&l| ok(l)));
-    }
-
-    #[test]
-    fn self_route_is_trivial() {
-        let t = Topology::fig1();
-        let a = t.find_node("A").unwrap();
-        let paths = k_disjoint_paths(&t, a, a, 3);
-        assert_eq!(paths.len(), 1);
-        assert!(paths[0].links.is_empty());
-        assert_eq!(paths[0].delay_ps, 0);
-        assert!(!paths[0].uses_any(&[LinkId(0)]));
+        let short = shortest_route_filtered(&t, x, y, &|_| true).unwrap();
+        assert_eq!(short.links, vec![l0]);
+        let long = shortest_route_filtered(&t, x, y, &|l| l != l0).unwrap();
+        assert_eq!(long.links, vec![l1]);
+        assert_eq!(long.nodes, short.nodes);
+        assert!(long.delay_ps > short.delay_ps);
+        assert!(!long.shares_link_with(&short));
+        assert_eq!(path_links(&t, &long.nodes), Some(vec![l0]));
+        assert!(shortest_route_filtered(&t, x, y, &|l| l != l0 && l != l1).is_none());
     }
 
     #[test]

@@ -76,8 +76,9 @@ pub struct EngineSlot {
     pub spec: OpSpec,
     /// Additive Gaussian noise on analog results (0 = ideal).
     pub noise_sigma: f64,
-    /// Whether the watchdog considers this engine trustworthy. Unhealthy
-    /// slots skip execution (packets pass through tagged
+    /// Whether this engine is trustworthy (false while an engine
+    /// hard-fail fault holds the site down). Unhealthy slots skip
+    /// execution (packets pass through tagged
     /// [`ResultStatus::EngineUnhealthy`]) instead of emitting garbage.
     pub healthy: bool,
     pub executions: u64,
@@ -443,7 +444,7 @@ impl Network {
     }
 
     /// Immediately set the effective analog noise sigma of every engine
-    /// slot at `node` (drift models feed their current value here).
+    /// slot at `node`.
     pub fn set_engine_noise(&mut self, node: NodeId, sigma: f64) {
         if let Some(slots) = self.engines.get_mut(&node) {
             for s in slots {
@@ -643,7 +644,7 @@ impl Network {
             .iter()
             .position(|s| s.op_id == op_id && s.spec.primitive() == pending)?;
         if !slots[idx].healthy {
-            // A matching engine exists but its watchdog tripped: skip the
+            // A matching engine exists but is marked unhealthy: skip the
             // op and tag the header so the receiver can tell this from a
             // valid analog result.
             packet

@@ -12,9 +12,10 @@
 //!   [`ResilTag`] that pins a redundant batch to its path and set.
 //! * [`multipath`] — the placement planner: greedy pairwise
 //!   link-disjoint routes from the serving front-end to the compute
-//!   sites (built on `ofpc_net::routing::k_disjoint_paths` /
-//!   `ofpc_controller::protection`), with graceful degradation when the
-//!   topology is a tree ([`multipath::MultipathPlan::protection_mode`]).
+//!   sites (`ofpc_net::routing::shortest_route_filtered` with the
+//!   links of earlier routes excluded), with graceful degradation when
+//!   the topology is a tree
+//!   ([`multipath::MultipathPlan::protection_mode`]).
 //! * [`parity`] — the byte-level XOR codec: one parity group over k
 //!   data groups reconstructs any single lost group digitally.
 //! * [`ledger`] — the deterministic in-flight work ledger: first valid

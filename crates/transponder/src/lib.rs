@@ -23,9 +23,7 @@ pub mod energy;
 pub mod frame;
 pub mod rxpath;
 pub mod txpath;
-pub mod watchdog;
 
 pub use commodity::CommodityTransponder;
 pub use compute::{ComputeOp, PhotonicComputeTransponder};
 pub use frame::Frame;
-pub use watchdog::{EngineWatchdog, Health, WatchdogConfig};
